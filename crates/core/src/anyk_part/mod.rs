@@ -24,18 +24,29 @@
 //!
 //! ## Hot-loop layout
 //!
-//! The expansion loop is allocation- and hash-free: successor structures live
-//! in a dense table keyed by the instance's [slot id](TdpInstance::slot_id)
-//! (one `Vec` indexing operation instead of a `HashMap<(NodeId, u32), _>`
-//! probe), choices inside a structure are addressed by dense index (see
-//! [`successor`]), the sibling scratch buffer is reused across expansions,
-//! and prefixes are shared through an append-only arena. The only per-result
-//! allocation is the output [`Solution`]'s own state vector.
+//! The expansion loop is allocation- and hash-free: a successor structure is
+//! found through a zero-initialised `u32` index keyed by the instance's
+//! [slot id](TdpInstance::slot_id) (`0` = not built yet, else its position in
+//! a dense pool, plus one), choices inside a structure are addressed by dense
+//! index (see [`successor`]), the sibling scratch buffer is reused across
+//! expansions, and prefixes are shared through an append-only arena. The
+//! only per-result allocation is the output [`Solution`]'s own state vector.
+//!
+//! ## What an enumerator costs
+//!
+//! Opening, paging and dropping an enumerator cost what the enumeration
+//! *touched*, not what the instance *contains*: the pool holds only the
+//! choice sets visited so far, the MEM(k) figures are counters bumped when a
+//! structure is built (so [`AnyKPart::memory_stats`] is `O(1)`), and the one
+//! choice set every enumerator touches in full — the root's, e.g. all of
+//! `R1` — is ordered once per instance and shared (`successor::RootCache`).
+//! Only the index itself is `O(slot ids)`, and it is four zero bytes per
+//! slot.
 
-mod successor;
+pub(crate) mod successor;
 
-use successor::SuccState;
 pub use successor::SuccessorKind;
+use successor::{Held, SuccState};
 
 use crate::dioid::Dioid;
 use crate::solution::Solution;
@@ -59,13 +70,17 @@ pub struct MemoryStats {
     pub candidates: usize,
     /// Entries in the shared-prefix arena (each is one state reference).
     pub prefix_arena_entries: usize,
-    /// Size of the dense successor-structure table (one slot per
-    /// (state, branch) pair of the instance).
+    /// The instance's number of (state, branch) pairs — the key space of the
+    /// successor-structure index, which holds one `u32` per pair whether or
+    /// not the pair's structure was ever built.
     pub structure_table_slots: usize,
     /// Successor structures materialised so far (lazy initialisation touches
     /// only the choice sets the enumeration actually visited).
     pub structures_allocated: usize,
-    /// Total choices held across all materialised successor structures.
+    /// Total choices held across all materialised successor structures. A
+    /// root structure borrowed from the instance's shared cache counts like
+    /// one the enumerator built: MEM(k) is a logical figure, the same for the
+    /// first cursor on a plan and the thousandth.
     pub structure_choices: usize,
 }
 
@@ -152,10 +167,15 @@ impl<V: Ord> Ord for Candidate<V> {
 pub struct AnyKPart<'a, D: Dioid> {
     inst: &'a TdpInstance<D>,
     kind: SuccessorKind,
-    /// Successor structures, keyed by dense slot id; entries are initialised
-    /// on first access (§7: lazy initialisation keeps TT(k) small for small
-    /// k). The table itself is allocated once, up front.
-    structures: Vec<Option<SuccState<D>>>,
+    /// Per slot id: `0` while the choice set is untouched, else the position
+    /// of its structure in `pool`, plus one. Structures are built on first
+    /// access (§7: lazy initialisation keeps TT(k) small for small k).
+    slot_index: Vec<u32>,
+    /// The structures built so far, in creation order.
+    pool: Vec<Held<'a, D>>,
+    /// `Σ len()` over `pool`. Every structure's `len()` is fixed at
+    /// construction, so this is bumped once per structure and never revised.
+    structure_choices: usize,
     cand: BinaryHeap<Reverse<Candidate<D::V>>>,
     arena: Vec<PrefixEntry<D::V>>,
     /// Reused scratch for sibling choice indices during expansion.
@@ -170,12 +190,12 @@ impl<'a, D: Dioid> AnyKPart<'a, D> {
     /// Create an enumerator over `inst` using the given successor structure.
     pub fn new(inst: &'a TdpInstance<D>, kind: SuccessorKind) -> Self {
         let ell = inst.solution_len();
-        let mut structures = Vec::new();
-        structures.resize_with(inst.num_slot_ids(), || None);
         AnyKPart {
             inst,
             kind,
-            structures,
+            slot_index: vec![0; inst.num_slot_ids()],
+            pool: Vec::new(),
+            structure_choices: 0,
             // Each emitted result pushes O(ℓ) new candidates and arena
             // entries; pre-size for a handful of results so short top-k runs
             // never reallocate.
@@ -200,34 +220,75 @@ impl<'a, D: Dioid> AnyKPart<'a, D> {
 
     /// A MEM(k) snapshot of the enumerator's data-structure footprint after
     /// `emitted()` results: candidate queue, shared-prefix arena, and the
-    /// successor-structure table (how many of its slots were materialised and
-    /// how many choices they hold in total).
+    /// successor structures (how many choice sets were materialised and how
+    /// many choices they hold in total). `O(1)`: every field is a length or
+    /// a counter the enumerator keeps as it goes.
     pub fn memory_stats(&self) -> MemoryStats {
-        let mut structures_allocated = 0usize;
-        let mut structure_choices = 0usize;
-        for s in self.structures.iter().flatten() {
-            structures_allocated += 1;
-            structure_choices += s.len();
-        }
         MemoryStats {
             emitted: self.emitted,
             candidates: self.cand.len(),
             prefix_arena_entries: self.arena.len(),
-            structure_table_slots: self.structures.len(),
-            structures_allocated,
-            structure_choices,
+            structure_table_slots: self.slot_index.len(),
+            structures_allocated: self.pool.len(),
+            structure_choices: self.structure_choices,
         }
     }
 
-    /// The successor structure for the choice set `(state, slot)`, created on
-    /// first access.
-    fn structure(&mut self, node: NodeId, slot: u32) -> (usize, &mut SuccState<D>) {
-        let d = self.inst.slot_id(node, slot) as usize;
-        if self.structures[d].is_none() {
-            let choices: Vec<_> = self.inst.choices(node, slot).collect();
-            self.structures[d] = Some(SuccState::new(self.kind, choices));
+    /// [`Self::memory_stats`] recomputed from the structures themselves, and
+    /// a check that the index and the pool describe the same set.
+    #[cfg(test)]
+    fn recount(&self) -> MemoryStats {
+        let mut indexed: Vec<u32> = self
+            .slot_index
+            .iter()
+            .copied()
+            .filter(|&p| p != 0)
+            .collect();
+        indexed.sort_unstable();
+        let every_pool_entry_once: Vec<u32> = (1..=self.pool.len() as u32).collect();
+        assert_eq!(indexed, every_pool_entry_once);
+        MemoryStats {
+            emitted: self.emitted,
+            candidates: self.cand.len(),
+            prefix_arena_entries: self.arena.len(),
+            structure_table_slots: self.inst.num_slot_ids(),
+            structures_allocated: indexed.len(),
+            structure_choices: self.pool.iter().map(|h| h.get().len()).sum(),
         }
-        (d, self.structures[d].as_mut().expect("just initialised"))
+    }
+
+    /// Pool position of the successor structure for the choice set
+    /// `(state, slot)`, which is created on first access.
+    #[inline]
+    fn structure(&mut self, node: NodeId, slot: u32) -> usize {
+        let d = self.inst.slot_id(node, slot) as usize;
+        match self.slot_index[d] {
+            0 => self.build_structure(node, slot, d),
+            p => p as usize - 1,
+        }
+    }
+
+    /// Build (or, for the root's choice sets, borrow from the instance's
+    /// cache) the structure of slot id `d` and enter it in the pool.
+    #[cold]
+    fn build_structure(&mut self, node: NodeId, slot: u32, d: usize) -> usize {
+        let (inst, kind) = (self.inst, self.kind);
+        let build = || SuccState::new(kind, inst.choices(node, slot).collect());
+        let held = if node == NodeId::ROOT {
+            let shared = inst.root_cache.get_or_build(kind, slot, build);
+            if shared.drains_in_place() {
+                Held::Own(shared.clone())
+            } else {
+                Held::Shared(shared)
+            }
+        } else {
+            Held::Own(build())
+        };
+        self.structure_choices += held.get().len();
+        self.pool.push(held);
+        // At most one structure per slot id, and slot ids fit `u32`.
+        self.slot_index[d] = self.pool.len() as u32;
+        self.pool.len() - 1
     }
 
     /// Parent state of serial position `pos`, given the solution states
@@ -272,7 +333,8 @@ impl<'a, D: Dioid> AnyKPart<'a, D> {
             return;
         }
         let slot = self.slot_of(0);
-        let (_, st) = self.structure(NodeId::ROOT, slot);
+        let p = self.structure(NodeId::ROOT, slot);
+        let st = self.pool[p].get();
         let top_idx = st.top();
         let top = st.choice(top_idx).0;
         let total = self.inst.optimum().clone();
@@ -318,11 +380,11 @@ impl<'a, D: Dioid> AnyKPart<'a, D> {
             let tail = self.parent_state(&states, pos);
             let slot = self.slot_of(pos);
             succ_buf.clear();
-            let (d, st) = self.structure(tail, slot);
-            st.successors(current_idx, &mut succ_buf);
+            let p = self.structure(tail, slot);
+            self.pool[p].successors(current_idx, &mut succ_buf);
             if !succ_buf.is_empty() {
                 let pending = self.pending_completion(&states, pos);
-                let st = self.structures[d].as_ref().expect("initialised above");
+                let st = self.pool[p].get();
                 for &sibling_idx in &succ_buf {
                     let (s, value) = st.choice(sibling_idx);
                     let total = D::times(&D::times(&prefix_weight, value), &pending);
@@ -350,7 +412,8 @@ impl<'a, D: Dioid> AnyKPart<'a, D> {
             if pos + 1 < ell {
                 let tail_next = self.parent_state(&states, pos + 1);
                 let slot_next = self.slot_of(pos + 1);
-                let (_, st) = self.structure(tail_next, slot_next);
+                let p = self.structure(tail_next, slot_next);
+                let st = self.pool[p].get();
                 current_idx = st.top();
                 current = st.choice(current_idx).0;
             }
@@ -397,7 +460,105 @@ impl<D: Dioid> Iterator for AnyKPart<'_, D> {
 mod tests {
     use super::*;
     use crate::dioid::{OrderedF64, TropicalMin};
-    use crate::tdp::TdpBuilder;
+    use crate::tdp::{StageId, TdpBuilder};
+    use proptest::prelude::*;
+    use rand::{rngs::SmallRng, Rng, SeedableRng};
+
+    const KINDS: [SuccessorKind; 4] = [
+        SuccessorKind::Eager,
+        SuccessorKind::Lazy,
+        SuccessorKind::All,
+        SuccessorKind::Take2,
+    ];
+
+    /// A random instance over the stage tree `parents` (`parents[i]` is the
+    /// parent of stage `i + 1`; `0` is the root stage, so a `0` beyond the
+    /// first entry gives the root state a second choice set).
+    fn random_instance(parents: &[usize], seed: u64) -> TdpInstance<TropicalMin> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut b = TdpBuilder::<TropicalMin>::new();
+        let mut stages = vec![StageId::ROOT];
+        let mut states: Vec<Vec<NodeId>> = vec![Vec::new()];
+        for (i, &parent) in parents.iter().enumerate() {
+            let stage = if parent == 0 {
+                b.add_stage_under_root(&format!("s{}", i + 1), true)
+            } else {
+                b.add_stage(&format!("s{}", i + 1), stages[parent], true)
+            };
+            let ids: Vec<NodeId> = (0..rng.gen_range(1usize..6))
+                .map(|_| b.add_state(stage.index(), (rng.gen_range(0..50u32) as f64).into()))
+                .collect();
+            for &child in &ids {
+                if parent == 0 {
+                    b.connect_root(child);
+                } else {
+                    for &owner in &states[parent] {
+                        if rng.gen_bool(0.7) {
+                            b.connect(owner, child);
+                        }
+                    }
+                }
+            }
+            stages.push(stage);
+            states.push(ids);
+        }
+        b.build()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The counters behind the O(1) `memory_stats()` never drift from a
+        /// recount over the structures, page after page, for every kind —
+        /// on paths, stars, deeper trees and roots with several choice sets.
+        #[test]
+        fn counted_memory_stats_equal_a_recount_after_every_page(
+            shape in 0usize..5,
+            seed in any::<u64>(),
+            page in 1usize..8,
+        ) {
+            let parents: &[usize] = match shape {
+                0 => &[0, 1, 2, 3],    // path
+                1 => &[0, 1, 1, 1],    // star
+                2 => &[0, 1, 1, 2, 3], // tree
+                3 => &[0, 0, 1, 2],    // root with two choice sets
+                _ => &[0, 0, 0],       // root with three, nothing below
+            };
+            let inst = random_instance(parents, seed);
+            for kind in KINDS {
+                let mut it = AnyKPart::new(&inst, kind);
+                prop_assert_eq!(it.memory_stats(), it.recount(), "{:?} at open", kind);
+                loop {
+                    let got = it.by_ref().take(page).count();
+                    prop_assert_eq!(it.memory_stats(), it.recount(), "{:?}", kind);
+                    if got < page {
+                        break;
+                    }
+                }
+                prop_assert_eq!(it.emitted() as u128, inst.count_solutions());
+            }
+        }
+    }
+
+    #[test]
+    fn root_structures_are_built_once_and_shared_except_by_lazy() {
+        let inst = cartesian_3();
+        for kind in KINDS {
+            let mut first = AnyKPart::new(&inst, kind);
+            let mut second = AnyKPart::new(&inst, kind);
+            first.next();
+            second.next();
+            let root = |it: &AnyKPart<'_, TropicalMin>| -> *const SuccState<TropicalMin> {
+                it.pool[it.slot_index[0] as usize - 1].get()
+            };
+            assert_eq!(
+                root(&first) == root(&second),
+                kind != SuccessorKind::Lazy,
+                "{kind:?}: Lazy drains in place, so it must own a copy"
+            );
+            assert_eq!(first.memory_stats(), second.memory_stats(), "{kind:?}");
+        }
+    }
 
     /// Example 6/8/9 of the paper: the 3-relation Cartesian product.
     fn cartesian_3() -> TdpInstance<TropicalMin> {

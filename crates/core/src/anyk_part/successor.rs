@@ -28,8 +28,9 @@
 
 use crate::dioid::Dioid;
 use crate::tdp::NodeId;
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
+use std::sync::OnceLock;
 
 /// Which successor structure an [`crate::AnyKPart`] enumerator uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -49,9 +50,10 @@ pub enum SuccessorKind {
 pub(crate) type Choice<V> = (NodeId, V);
 
 /// The per-(state, slot) successor structure. Created lazily by the
-/// enumerator the first time a choice set is touched, and stored in a dense
-/// table keyed by the instance's slot id.
-#[derive(Debug)]
+/// enumerator the first time a choice set is touched, and stored in the
+/// enumerator's pool (see [`Held`]). [`SuccState::len`] is fixed at
+/// construction: `Lazy` only moves entries from its heap to its sorted prefix.
+#[derive(Debug, Clone)]
 pub(crate) enum SuccState<D: Dioid> {
     Eager(EagerChoices<D::V>),
     Lazy(LazyChoices<D::V>),
@@ -103,6 +105,13 @@ impl<D: Dioid> SuccState<D> {
         }
     }
 
+    /// Whether [`Self::successors`] mutates the structure. Only `Lazy`
+    /// drains in place; the other three are read-only after construction, so
+    /// one instance of them can serve any number of enumerators at once.
+    pub(crate) fn drains_in_place(&self) -> bool {
+        matches!(self, SuccState::Lazy(_))
+    }
+
     /// Append to `out` the indices of the successors of the choice at `idx`.
     ///
     /// The contract (sufficient for the correctness of Algorithm 1) is that
@@ -111,16 +120,107 @@ impl<D: Dioid> SuccState<D> {
     /// the same prefix.
     pub(crate) fn successors(&mut self, idx: u32, out: &mut Vec<u32>) {
         match self {
-            SuccState::Eager(s) => s.successors(idx, out),
             SuccState::Lazy(s) => s.successors(idx, out),
+            _ => self.successors_shared(idx, out),
+        }
+    }
+
+    /// [`Self::successors`] through a shared reference, for the kinds that
+    /// never mutate ([`Self::drains_in_place`] is false).
+    pub(crate) fn successors_shared(&self, idx: u32, out: &mut Vec<u32>) {
+        match self {
+            SuccState::Eager(s) => s.successors(idx, out),
             SuccState::All(s) => s.successors(idx, out),
             SuccState::Take2(s) => s.successors(idx, out),
+            SuccState::Lazy(_) => unreachable!("Lazy structures are never shared"),
         }
     }
 }
 
-fn sort_key<V: Ord + Clone>(c: &Choice<V>) -> (V, NodeId) {
-    (c.1.clone(), c.0)
+/// A successor structure as one enumerator holds it: built by and private to
+/// that enumerator, or borrowed from the instance's [`RootCache`].
+#[derive(Debug)]
+pub(crate) enum Held<'a, D: Dioid> {
+    Own(SuccState<D>),
+    Shared(&'a SuccState<D>),
+}
+
+impl<D: Dioid> Held<'_, D> {
+    #[inline]
+    pub(crate) fn get(&self) -> &SuccState<D> {
+        match self {
+            Held::Own(s) => s,
+            Held::Shared(s) => s,
+        }
+    }
+
+    /// See [`SuccState::successors`].
+    #[inline]
+    pub(crate) fn successors(&mut self, idx: u32, out: &mut Vec<u32>) {
+        match self {
+            Held::Own(s) => s.successors(idx, out),
+            Held::Shared(s) => s.successors_shared(idx, out),
+        }
+    }
+}
+
+/// The successor structures of the root state's choice sets, built once per
+/// instance instead of once per enumerator.
+///
+/// The choice set of `(NodeId::ROOT, slot)` is every state of a top-level
+/// stage — all of `R1` on a path query — and its structure is a pure function
+/// of (instance, [`SuccessorKind`]); ordering it is the one-time linear work
+/// the paper charges to preprocessing (§4.1.3), not to each enumeration. The
+/// first enumerator that needs a cell fills it; kinds nobody uses cost
+/// nothing. `Eager`/`All`/`Take2` enumerators then borrow the cell, `Lazy`
+/// ones clone it (a copy, not a re-heapify) because they drain in place.
+///
+/// A cache describes one generation of the instance: `Clone` yields an
+/// *empty* cache and [`apply_patch`](crate::tdp::apply_patch) empties it, so
+/// an edited copy never inherits the original's root order.
+#[derive(Debug)]
+pub(crate) struct RootCache<D: Dioid> {
+    /// Indexed by root slot, then by `SuccessorKind as usize`.
+    cells: Vec<[OnceLock<SuccState<D>>; 4]>,
+}
+
+impl<D: Dioid> RootCache<D> {
+    /// An empty cache for a root state with `root_slots` child stages.
+    pub(crate) fn new(root_slots: usize) -> Self {
+        RootCache {
+            cells: (0..root_slots).map(|_| Default::default()).collect(),
+        }
+    }
+
+    /// Drop every cached structure.
+    pub(crate) fn clear(&mut self) {
+        *self = Self::new(self.cells.len());
+    }
+
+    /// The structure of root slot `slot` under `kind`, built by whichever
+    /// caller gets there first (racing callers wait for it).
+    pub(crate) fn get_or_build(
+        &self,
+        kind: SuccessorKind,
+        slot: u32,
+        build: impl FnOnce() -> SuccState<D>,
+    ) -> &SuccState<D> {
+        self.cells[slot as usize][kind as usize].get_or_init(build)
+    }
+}
+
+impl<D: Dioid> Clone for RootCache<D> {
+    fn clone(&self) -> Self {
+        Self::new(self.cells.len())
+    }
+}
+
+/// The order of choices within a choice set: by value, ties by node id.
+/// Compares in place — a choice set is ordered once per structure, and on a
+/// root choice set that is every tuple of a relation.
+#[inline]
+fn by_rank<V: Ord>(a: &Choice<V>, b: &Choice<V>) -> Ordering {
+    a.1.cmp(&b.1).then(a.0.cmp(&b.0))
 }
 
 // ---------------------------------------------------------------------------
@@ -129,14 +229,14 @@ fn sort_key<V: Ord + Clone>(c: &Choice<V>) -> (V, NodeId) {
 
 /// Fully sorted choice list; a choice's index is its rank, so its successor
 /// is simply the next index.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct EagerChoices<V> {
     sorted: Vec<Choice<V>>,
 }
 
 impl<V: Ord + Clone> EagerChoices<V> {
     fn new(mut choices: Vec<Choice<V>>) -> Self {
-        choices.sort_by_key(sort_key);
+        choices.sort_by(by_rank);
         EagerChoices { sorted: choices }
     }
 
@@ -156,7 +256,7 @@ impl<V: Ord + Clone> EagerChoices<V> {
 /// materialised. Following §4.1.3, the top two choices are materialised
 /// eagerly because almost every successor request asks for the second-best
 /// choice.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct LazyChoices<V> {
     sorted: Vec<Choice<V>>,
     heap: BinaryHeap<Reverse<(V, NodeId)>>,
@@ -205,7 +305,7 @@ impl<V: Ord + Clone> LazyChoices<V> {
 /// expanded, every other choice is returned as a potential successor; all
 /// other choices have an empty successor set (their true successors were
 /// inserted together with them).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct AllChoices<V> {
     choices: Vec<Choice<V>>,
     top_idx: usize,
@@ -216,7 +316,7 @@ impl<V: Ord + Clone> AllChoices<V> {
         let top_idx = choices
             .iter()
             .enumerate()
-            .min_by_key(|(_, c)| sort_key(c))
+            .min_by(|(_, a), (_, b)| by_rank(a, b))
             .map(|(i, _)| i)
             .expect("non-empty choice set");
         AllChoices { choices, top_idx }
@@ -238,7 +338,7 @@ impl<V: Ord + Clone> AllChoices<V> {
 /// two) children of `y` in the heap tree, whose values are ≥ `y`'s value, so
 /// inserting them the moment `y` is expanded never violates rank order, and
 /// every choice is produced exactly once — by its unique heap parent.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct Take2Choices<V> {
     heap: Vec<Choice<V>>,
 }
@@ -263,33 +363,31 @@ impl<V: Ord + Clone> Take2Choices<V> {
 
 /// Floyd's linear-time bottom-up heap construction for an array-embedded
 /// binary min-heap ordered by `(value, node id)`.
-fn heapify_min<V: Ord + Clone>(v: &mut [Choice<V>]) {
-    let n = v.len();
-    if n <= 1 {
-        return;
-    }
-    for start in (0..n / 2).rev() {
+fn heapify_min<V: Ord>(v: &mut [Choice<V>]) {
+    for start in (0..v.len() / 2).rev() {
         sift_down(v, start);
     }
 }
 
-fn sift_down<V: Ord + Clone>(v: &mut [Choice<V>], mut i: usize) {
+/// Sink `v[i]` to its place below the smaller of its children.
+fn sift_down<V: Ord>(v: &mut [Choice<V>], mut i: usize) {
     let n = v.len();
     loop {
         let l = 2 * i + 1;
-        let r = 2 * i + 2;
-        let mut smallest = i;
-        if l < n && sort_key(&v[l]) < sort_key(&v[smallest]) {
-            smallest = l;
-        }
-        if r < n && sort_key(&v[r]) < sort_key(&v[smallest]) {
-            smallest = r;
-        }
-        if smallest == i {
+        if l >= n {
             return;
         }
-        v.swap(i, smallest);
-        i = smallest;
+        let r = l + 1;
+        let child = if r < n && by_rank(&v[r], &v[l]).is_lt() {
+            r
+        } else {
+            l
+        };
+        if !by_rank(&v[child], &v[i]).is_lt() {
+            return;
+        }
+        v.swap(i, child);
+        i = child;
     }
 }
 
@@ -371,6 +469,60 @@ mod tests {
         out.clear();
         s.successors(non_top, &mut out);
         assert!(out.is_empty());
+    }
+
+    /// The pre-refactor ordering code, which cloned a `(value, node)` key per
+    /// comparison: the in-place comparator must reproduce its heap layout and
+    /// sort order element for element, or streams would change.
+    #[test]
+    fn in_place_ordering_reproduces_the_keyed_reference() {
+        fn key(c: &Choice<OrderedF64>) -> (OrderedF64, NodeId) {
+            (c.1, c.0)
+        }
+        fn reference_heapify(v: &mut [Choice<OrderedF64>]) {
+            let n = v.len();
+            for start in (0..n / 2).rev() {
+                let mut i = start;
+                loop {
+                    let (l, r) = (2 * i + 1, 2 * i + 2);
+                    let mut smallest = i;
+                    if l < n && key(&v[l]) < key(&v[smallest]) {
+                        smallest = l;
+                    }
+                    if r < n && key(&v[r]) < key(&v[smallest]) {
+                        smallest = r;
+                    }
+                    if smallest == i {
+                        break;
+                    }
+                    v.swap(i, smallest);
+                    i = smallest;
+                }
+            }
+        }
+        // A multiplicative walk mod 8: many duplicate values, so the node-id
+        // tie-break decides most comparisons.
+        for n in [0usize, 1, 2, 3, 10, 31, 32, 257] {
+            let vals: Vec<f64> = (0..n).map(|i| ((i * 7919 + 13) % 8) as f64).collect();
+            let mut heap = choices(&vals);
+            let mut expected = heap.clone();
+            heapify_min(&mut heap);
+            reference_heapify(&mut expected);
+            assert_eq!(heap, expected, "heap layout, n = {n}");
+            if n == 0 {
+                continue;
+            }
+            let mut sorted = choices(&vals);
+            sorted.sort_by_key(key);
+            let SuccState::Eager(eager) =
+                SuccState::<TropicalMin>::new(SuccessorKind::Eager, choices(&vals))
+            else {
+                unreachable!()
+            };
+            assert_eq!(eager.sorted, sorted, "sort order, n = {n}");
+            let all = SuccState::<TropicalMin>::new(SuccessorKind::All, choices(&vals));
+            assert_eq!(all.choice(all.top()), &sorted[0], "best choice, n = {n}");
+        }
     }
 
     #[test]

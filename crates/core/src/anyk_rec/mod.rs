@@ -91,29 +91,28 @@ struct MultiStream<V> {
     pending: bool,
 }
 
-/// The lazily ranked stream of subtree solutions of a state.
-#[derive(Debug)]
-enum SubtreeStream<V> {
-    /// Leaf stage: exactly one (empty) subtree solution of weight `1̄`.
-    Leaf,
-    /// Exactly one child slot: the subtree stream *is* the branch stream.
-    Single,
-    /// Two or more child slots: ranked Cartesian product of branch streams.
-    Multi(MultiStream<V>),
-}
-
 /// Ranked enumeration with the `Recursive` (REA) strategy.
 ///
 /// Construct with [`Recursive::new`] and consume as an [`Iterator`] of
 /// [`Solution`]s in non-decreasing weight order.
+///
+/// Streams live in dense pools in creation order and are found through
+/// zero-initialised `u32` indexes (`0` = no stream yet, else pool position
+/// plus one), so an enumerator's memory and drop cost follow the streams it
+/// touched, not the size of the instance.
 #[derive(Debug)]
 pub struct Recursive<'a, D: Dioid> {
     inst: &'a TdpInstance<D>,
-    /// Branch streams, keyed by the instance's dense slot id (lazily
-    /// initialised, one flat table instead of per-node vectors).
-    branch: Vec<Option<BranchStream<D::V>>>,
-    /// Per node: the subtree stream (lazily initialised).
-    subtree: Vec<Option<SubtreeStream<D::V>>>,
+    /// Per slot id: where the branch stream sits in `branch`.
+    branch_index: Vec<u32>,
+    branch: Vec<BranchStream<D::V>>,
+    /// Per node: where the subtree stream of a state with two or more child
+    /// slots sits in `multi`. States with no child slot have exactly one
+    /// (empty) subtree solution of weight `1̄`, and the subtree stream of a
+    /// state with one child slot *is* its branch stream; neither needs an
+    /// entry.
+    multi_index: Vec<u32>,
+    multi: Vec<MultiStream<D::V>>,
     next_rank: usize,
     finished: bool,
 }
@@ -121,12 +120,12 @@ pub struct Recursive<'a, D: Dioid> {
 impl<'a, D: Dioid> Recursive<'a, D> {
     /// Create an enumerator over `inst`.
     pub fn new(inst: &'a TdpInstance<D>) -> Self {
-        let mut branch = Vec::new();
-        branch.resize_with(inst.num_slot_ids(), || None);
         Recursive {
             inst,
-            branch,
-            subtree: (0..inst.num_nodes()).map(|_| None).collect(),
+            branch_index: vec![0; inst.num_slot_ids()],
+            branch: Vec::new(),
+            multi_index: vec![0; inst.num_nodes()],
+            multi: Vec::new(),
             next_rank: 0,
             finished: false,
         }
@@ -135,19 +134,22 @@ impl<'a, D: Dioid> Recursive<'a, D> {
     /// Total number of suffix (branch-stream) elements materialised so far —
     /// the quantity whose sum drives Recursive's amortised TTL (Theorem 11).
     pub fn materialised_suffixes(&self) -> usize {
-        self.branch
-            .iter()
-            .filter_map(|b| b.as_ref())
-            .map(|b| b.sorted.len())
-            .sum()
+        self.branch.iter().map(|b| b.sorted.len()).sum()
+    }
+
+    /// Number of child slots of `node`'s stage.
+    fn child_slots(&self, node: NodeId) -> usize {
+        self.inst.stage(self.inst.node(node).stage).children.len()
     }
 
     // -- branch streams ----------------------------------------------------
 
-    fn ensure_branch_init(&mut self, node: NodeId, slot: u32) -> usize {
+    /// Pool position of the stream of branch `(node, slot)`, created on first
+    /// access.
+    fn branch_stream(&mut self, node: NodeId, slot: u32) -> usize {
         let d = self.inst.slot_id(node, slot) as usize;
-        if self.branch[d].is_some() {
-            return d;
+        if self.branch_index[d] != 0 {
+            return self.branch_index[d] as usize - 1;
         }
         // Choices₁(s): one entry per unpruned successor, at rank 0; the value
         // w(t) ⊗ π₁(t) was already computed by the bottom-up phase.
@@ -162,54 +164,47 @@ impl<'a, D: Dioid> Recursive<'a, D> {
                 })
             })
             .collect();
-        self.branch[d] = Some(BranchStream {
+        self.branch.push(BranchStream {
             sorted: Vec::new(),
             frontier,
             pending: false,
         });
-        d
+        self.branch_index[d] = self.branch.len() as u32;
+        self.branch.len() - 1
     }
 
     /// Weight of the `rank`-th solution of branch `(node, slot)`, or `None`
     /// if the branch has fewer solutions. Materialises lazily.
     fn branch_weight(&mut self, node: NodeId, slot: u32, rank: usize) -> Option<D::V> {
-        let d = self.ensure_branch_init(node, slot);
+        let b = self.branch_stream(node, slot);
         loop {
             // Fast path: already materialised.
-            {
-                let stream = self.branch[d].as_ref().unwrap();
-                if let Some(sol) = stream.sorted.get(rank) {
-                    return Some(sol.weight.clone());
-                }
+            if let Some(sol) = self.branch[b].sorted.get(rank) {
+                return Some(sol.weight.clone());
             }
             // Deferred replacement of the last committed element (Algorithm 2
             // line 26–31): generate "next through the same child" before the
             // next pop.
-            let pending_sol = {
-                let stream = self.branch[d].as_mut().unwrap();
-                if stream.pending {
-                    stream.pending = false;
-                    stream.sorted.last().cloned()
-                } else {
-                    None
-                }
+            let stream = &mut self.branch[b];
+            let pending_sol = if stream.pending {
+                stream.pending = false;
+                stream.sorted.last().cloned()
+            } else {
+                None
             };
             if let Some(last) = pending_sol {
                 let next_rank = last.rank + 1;
-                let replacement = self
-                    .subtree_weight(last.child, next_rank as usize)
-                    .map(|w| BranchSol {
-                        weight: D::times(self.inst.weight(last.child), &w),
+                if let Some(w) = self.subtree_weight(last.child, next_rank as usize) {
+                    let weight = D::times(self.inst.weight(last.child), &w);
+                    self.branch[b].frontier.push(Reverse(BranchSol {
+                        weight,
                         child: last.child,
                         rank: next_rank,
-                    });
-                if let Some(rep) = replacement {
-                    let stream = self.branch[d].as_mut().unwrap();
-                    stream.frontier.push(Reverse(rep));
+                    }));
                 }
             }
             // Commit the next-lightest frontier entry.
-            let stream = self.branch[d].as_mut().unwrap();
+            let stream = &mut self.branch[b];
             match stream.frontier.pop() {
                 None => return None,
                 Some(Reverse(best)) => {
@@ -221,9 +216,9 @@ impl<'a, D: Dioid> Recursive<'a, D> {
     }
 
     fn branch_sol(&self, node: NodeId, slot: u32, rank: usize) -> &BranchSol<D::V> {
-        self.branch[self.inst.slot_id(node, slot) as usize]
-            .as_ref()
-            .expect("branch stream initialised")
+        let b = self.branch_index[self.inst.slot_id(node, slot) as usize];
+        assert!(b != 0, "branch stream initialised");
+        self.branch[b as usize - 1]
             .sorted
             .get(rank)
             .expect("branch solution materialised")
@@ -231,96 +226,73 @@ impl<'a, D: Dioid> Recursive<'a, D> {
 
     // -- subtree streams ---------------------------------------------------
 
-    fn ensure_subtree_init(&mut self, node: NodeId) {
-        if self.subtree[node.index()].is_some() {
-            return;
+    /// Pool position of the subtree stream of `node`, a state with
+    /// `slots ≥ 2` child slots; created on first access.
+    fn multi_stream(&mut self, node: NodeId, slots: usize) -> usize {
+        if self.multi_index[node.index()] != 0 {
+            return self.multi_index[node.index()] as usize - 1;
         }
-        let stage = self.inst.node(node).stage;
-        let slots = self.inst.stage(stage).children.len();
-        let stream = match slots {
-            0 => SubtreeStream::Leaf,
-            1 => SubtreeStream::Single,
-            _ => {
-                // Seed the product frontier with the all-zeros rank vector.
-                let mut weight = D::one();
-                let mut ok = true;
-                for slot in 0..slots {
-                    match self.branch_weight(node, slot as u32, 0) {
-                        Some(w) => weight = D::times(&weight, &w),
-                        None => {
-                            ok = false;
-                            break;
-                        }
-                    }
+        // Seed the product frontier with the all-zeros rank vector.
+        let mut weight = D::one();
+        let mut ok = true;
+        for slot in 0..slots {
+            match self.branch_weight(node, slot as u32, 0) {
+                Some(w) => weight = D::times(&weight, &w),
+                None => {
+                    ok = false;
+                    break;
                 }
-                let mut frontier = BinaryHeap::new();
-                if ok {
-                    frontier.push(Reverse(MultiSol {
-                        weight,
-                        ranks: vec![0; slots],
-                    }));
-                }
-                SubtreeStream::Multi(MultiStream {
-                    sorted: Vec::new(),
-                    frontier,
-                    pending: false,
-                })
             }
-        };
-        self.subtree[node.index()] = Some(stream);
+        }
+        let mut frontier = BinaryHeap::new();
+        if ok {
+            frontier.push(Reverse(MultiSol {
+                weight,
+                ranks: vec![0; slots],
+            }));
+        }
+        self.multi.push(MultiStream {
+            sorted: Vec::new(),
+            frontier,
+            pending: false,
+        });
+        self.multi_index[node.index()] = self.multi.len() as u32;
+        self.multi.len() - 1
     }
 
     /// Weight of the `rank`-th subtree solution of `node`, or `None`.
     fn subtree_weight(&mut self, node: NodeId, rank: usize) -> Option<D::V> {
-        self.ensure_subtree_init(node);
-        match self.subtree[node.index()].as_ref().unwrap() {
-            SubtreeStream::Leaf => {
-                return if rank == 0 { Some(D::one()) } else { None };
-            }
-            SubtreeStream::Single => {
-                return self.branch_weight(node, 0, rank);
-            }
-            SubtreeStream::Multi(_) => {}
+        let slots = self.child_slots(node);
+        match slots {
+            0 => return if rank == 0 { Some(D::one()) } else { None },
+            1 => return self.branch_weight(node, 0, rank),
+            _ => {}
         }
+        let m = self.multi_stream(node, slots);
         loop {
-            {
-                let SubtreeStream::Multi(m) = self.subtree[node.index()].as_ref().unwrap() else {
-                    unreachable!()
-                };
-                if let Some(sol) = m.sorted.get(rank) {
-                    return Some(sol.weight.clone());
-                }
+            if let Some(sol) = self.multi[m].sorted.get(rank) {
+                return Some(sol.weight.clone());
             }
             // Deferred successor generation for the last committed element.
-            let pending_sol = {
-                let SubtreeStream::Multi(m) = self.subtree[node.index()].as_mut().unwrap() else {
-                    unreachable!()
-                };
-                if m.pending {
-                    m.pending = false;
-                    m.sorted.last().cloned()
-                } else {
-                    None
-                }
+            let stream = &mut self.multi[m];
+            let pending_sol = if stream.pending {
+                stream.pending = false;
+                stream.sorted.last().cloned()
+            } else {
+                None
             };
             if let Some(last) = pending_sol {
-                let successors = self.multi_successors(node, &last);
-                let SubtreeStream::Multi(m) = self.subtree[node.index()].as_mut().unwrap() else {
-                    unreachable!()
-                };
-                for s in successors {
-                    m.frontier.push(Reverse(s));
+                for s in self.multi_successors(node, &last) {
+                    self.multi[m].frontier.push(Reverse(s));
                 }
             }
             // Commit the next-lightest combination.
-            let SubtreeStream::Multi(m) = self.subtree[node.index()].as_mut().unwrap() else {
-                unreachable!()
-            };
-            match m.frontier.pop() {
+            let stream = &mut self.multi[m];
+            match stream.frontier.pop() {
                 None => return None,
                 Some(Reverse(best)) => {
-                    m.sorted.push(best);
-                    m.pending = true;
+                    stream.sorted.push(best);
+                    stream.pending = true;
                 }
             }
         }
@@ -365,18 +337,15 @@ impl<'a, D: Dioid> Recursive<'a, D> {
         // Ensure the solution (and hence its per-branch references) exists.
         let ensured = self.subtree_weight(node, rank);
         debug_assert!(ensured.is_some(), "assembling a non-existent solution");
-        let stage = self.inst.node(node).stage;
-        let slots = self.inst.stage(stage).children.len();
+        let slots = self.child_slots(node);
         if slots == 0 {
             return;
         }
         let ranks: Vec<u32> = if slots == 1 {
             vec![rank as u32]
         } else {
-            let SubtreeStream::Multi(m) = self.subtree[node.index()].as_ref().unwrap() else {
-                unreachable!()
-            };
-            m.sorted[rank].ranks.clone()
+            let m = self.multi_index[node.index()] as usize - 1;
+            self.multi[m].sorted[rank].ranks.clone()
         };
         for (slot, &r) in ranks.iter().enumerate() {
             // The branch solution is materialised (subtree_weight above
@@ -571,13 +540,7 @@ mod tests {
         let all: Vec<_> = rec.by_ref().collect();
         assert_eq!(all.len(), 4);
         // Branch stream of `shared` holds its two suffixes exactly once.
-        assert_eq!(
-            rec.branch[inst.slot_id(shared, 0) as usize]
-                .as_ref()
-                .unwrap()
-                .sorted
-                .len(),
-            2
-        );
+        let b = rec.branch_index[inst.slot_id(shared, 0) as usize] as usize - 1;
+        assert_eq!(rec.branch[b].sorted.len(), 2);
     }
 }

@@ -29,7 +29,13 @@ use std::sync::{Mutex, MutexGuard};
 /// * `storage.index_build` — inside `HashIndex::build` (infallible path:
 ///   error rules are promoted to panics, see [`checkpoint`]).
 /// * `core.bottom_up` — start of the bottom-up DP sweep (infallible path).
+/// * `core.patch` — start of `tdp::apply_patch`, before the instance is
+///   touched (infallible path). Reached only when a plan is delta-refreshed.
 /// * `engine.compile` — start of plan preparation (fallible).
+/// * `engine.refresh` — start of a plan's delta refresh (fallible). Reached
+///   only by ingestion over a cached, refreshable plan.
+/// * `engine.shard` — start of a sharded plan's build, before the database
+///   is partitioned (fallible). Reached only by plans with two or more shards.
 /// * `engine.page` — per answer pulled inside a cursor page fill
 ///   (infallible path; a panic here lands mid-stream, mid-page).
 /// * `server.open` — session admission, before a cursor is built (fallible).
@@ -39,10 +45,13 @@ use std::sync::{Mutex, MutexGuard};
 /// * `net.read` — per socket read inside the server's frame decoder
 ///   (fallible: a fired rule becomes an I/O error and drops the connection).
 /// * `net.write` — per response write on the server side (fallible: ditto).
-pub const SITES: [&str; 9] = [
+pub const SITES: [&str; 12] = [
     "storage.index_build",
     "core.bottom_up",
+    "core.patch",
     "engine.compile",
+    "engine.refresh",
+    "engine.shard",
     "engine.page",
     "server.open",
     "server.page",

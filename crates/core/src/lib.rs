@@ -133,9 +133,10 @@ impl std::fmt::Display for AnyKAlgorithm {
 /// paper's MEM(k) study measures (`Recursive`, `Batch`).
 pub trait SolutionStream<D: Dioid>: Iterator<Item = Solution<D>> + Send {
     /// A MEM(k) snapshot of the enumerator's current data structures, or
-    /// `None` when the algorithm does not track one. Cheap relative to a
-    /// page of answers (it scans the successor-structure table), but not
-    /// per-answer cheap — call it at page granularity.
+    /// `None` when the algorithm does not track one. `O(1)` for a single
+    /// enumerator (lengths and counters it keeps as it goes), and one such
+    /// read per source for a union — cheap enough to call after every page,
+    /// or every answer.
     fn live_mem(&self) -> Option<MemoryStats> {
         None
     }

@@ -1,6 +1,7 @@
 //! Construction of [`TdpInstance`]s.
 
 use super::{bottom_up, Node, NodeId, Stage, StageId, TdpInstance};
+use crate::anyk_part::successor::RootCache;
 use crate::dioid::Dioid;
 
 /// Builder for [`TdpInstance`]s.
@@ -246,6 +247,7 @@ impl<D: Dioid> TdpBuilder<D> {
         }
         drop(cursor);
 
+        let root_slots = self.stages[StageId::ROOT.index()].children.len();
         let mut instance = TdpInstance {
             stages: self.stages,
             nodes: self.nodes,
@@ -258,6 +260,7 @@ impl<D: Dioid> TdpBuilder<D> {
             parent_pos,
             pending,
             retained: None,
+            root_cache: RootCache::new(root_slots),
         };
         bottom_up::run_with_threads(&mut instance, threads);
         if self.retain_topology {

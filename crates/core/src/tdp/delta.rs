@@ -188,6 +188,9 @@ pub fn apply_patch<D: Dioid>(
     }
     crate::faults::checkpoint("core.patch");
     let mut retained = instance.retained.take().expect("checked above");
+    // The root's cached successor structures order the choices of the data
+    // as it was.
+    instance.root_cache.clear();
     let zero = D::zero();
 
     // 1. Payload rewrites (pure metadata; no DP impact).
@@ -580,6 +583,57 @@ mod tests {
         let (_, w1) = top1_solution(&inst).unwrap();
         let (_, w2) = top1_solution(&rebuilt).unwrap();
         assert_eq!(w1, w2);
+    }
+
+    /// Enumerators cache the ordered root choice set on the instance. A
+    /// patch that replaces the best root state must not leave that order
+    /// behind — neither on the patched instance nor on a patched clone —
+    /// and a cursor opened before the clone keeps its own generation.
+    #[test]
+    fn a_patch_drops_the_cached_root_order() {
+        use crate::{ranked_enumerate, AnyKAlgorithm};
+        let weights = |inst: &TdpInstance<TropicalMin>, alg| -> Vec<OrderedF64> {
+            ranked_enumerate(inst, alg).map(|s| s.weight).collect()
+        };
+        for alg in AnyKAlgorithm::ALL {
+            let mut b = TdpBuilder::<TropicalMin>::serial(2);
+            b.retain_topology(true);
+            let roots: Vec<NodeId> = [1.0, 2.0, 3.0]
+                .iter()
+                .map(|&w| b.add_state(1, w.into()))
+                .collect();
+            let z = b.add_state(2, 10.0.into());
+            for &r in &roots {
+                b.connect_root(r);
+                b.connect(r, z);
+            }
+            let original = b.build();
+            let before: Vec<OrderedF64> = [11.0, 12.0, 13.0].map(Into::into).to_vec();
+            let mut pinned = ranked_enumerate(&original, alg);
+            assert_eq!(pinned.next().map(|s| s.weight), Some(before[0]), "{alg}");
+
+            let mut patch = TdpPatch::new();
+            patch.kill_nodes.push(roots[0]);
+            let better = patch.add_node(&original, StageId(1), 0.5.into(), 7);
+            patch.add_edges.push((NodeId::ROOT, 0, better));
+            patch.add_edges.push((better, 0, z));
+            let after: Vec<OrderedF64> = [10.5, 12.0, 13.0].map(Into::into).to_vec();
+
+            let mut next = original.clone();
+            apply_patch(&mut next, &patch).unwrap();
+            assert_eq!(weights(&next, alg), after, "{alg}: patched clone");
+            assert_eq!(
+                pinned.map(|s| s.weight).collect::<Vec<_>>(),
+                before[1..],
+                "{alg}: the cursor over the original is undisturbed"
+            );
+            assert_eq!(weights(&original, alg), before, "{alg}: so is the original");
+
+            // The same edit in place, on an instance whose cache is warm.
+            let mut in_place = original;
+            apply_patch(&mut in_place, &patch).unwrap();
+            assert_eq!(weights(&in_place, alg), after, "{alg}: patched in place");
+        }
     }
 
     #[test]

@@ -58,6 +58,7 @@ pub fn default_bottom_up_threads() -> usize {
     bottom_up::threads_from_env()
 }
 
+use crate::anyk_part::successor::RootCache;
 use crate::dioid::Dioid;
 
 /// Identifier of a stage within a [`TdpInstance`]. Stage `0` is the
@@ -163,6 +164,11 @@ pub struct TdpInstance<D: Dioid> {
     /// builder was asked to [`TdpBuilder::retain_topology`] — required by
     /// [`apply_patch`] (delta ingestion). `None` for ordinary instances.
     pub(crate) retained: Option<delta::RetainedTopology>,
+    /// Successor structures of the root's choice sets, filled by the first
+    /// enumerator that needs one and shared by the rest. Cloning the
+    /// instance yields an empty cache and [`apply_patch`] empties it: the
+    /// cached order belongs to this generation of the data only.
+    pub(crate) root_cache: RootCache<D>,
 }
 
 impl<D: Dioid> TdpInstance<D> {

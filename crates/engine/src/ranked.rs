@@ -78,10 +78,11 @@ pub struct RankedQuery<'a> {
 /// footprint against a memory budget instead of re-profiling from scratch.
 pub trait AnswerStream: Iterator<Item = Answer> + Send {
     /// A MEM(k) snapshot of the stream's current data structures —
-    /// candidate queue, shared-prefix arena, successor-structure table —
+    /// candidate queue, shared-prefix arena, successor structures —
     /// summed across the trees of a cycle decomposition. `None` for
     /// algorithms that do not organise memory this way (`Recursive`,
-    /// `Batch`). Call at page granularity, not per answer.
+    /// `Batch`). Constant time per tree (see
+    /// [`anyk_core::SolutionStream::live_mem`]).
     fn live_mem(&self) -> Option<MemoryStats> {
         None
     }

@@ -315,6 +315,54 @@ fn orphaned_join_key_reconnects_when_a_parent_returns() {
     assert_eq!(revived.count_answers(), 2);
 }
 
+/// Cursors cache the ordered root choice set — every tuple of the relation
+/// at the root of the join tree — on the plan. Refresh clones the compiled
+/// plan and patches the clone; if the clone carried the cache, the new
+/// generation would rank by the old relation. Open a cursor first (which
+/// fills the cache), then replace exactly the tuple at the head of that
+/// order with a better one.
+#[test]
+fn a_warm_root_cache_never_leaks_into_the_refreshed_plan() {
+    let text = "Q(a, b, c, d) :- R1(a, b), R2(b, c), R3(c, d)";
+    let spec = anyk_query::QuerySpec::parse(text).unwrap();
+    for alg in AnyKAlgorithm::ALL {
+        let mut weights = Weights::new(0x5EED);
+        let snapshot = Arc::new(path_db(&mut weights, 3, 40, 12));
+        let plan = Arc::new(PreparedQuery::from_spec_delta(Arc::clone(&snapshot), &spec).unwrap());
+        let pinned_expected: Vec<_> = PreparedQuery::from_spec(Arc::clone(&snapshot), &spec)
+            .unwrap()
+            .enumerate(alg)
+            .collect();
+
+        let mut pinned = plan.enumerate(alg);
+        let top = pinned.next().expect("the instance has answers");
+        // Witnesses list atoms in the plan's serial order, root stage first;
+        // atom `i` of the path is `R{i+1}(x_i, x_{i+1})`.
+        let (atom, top_root_tuple) = top.witness()[0];
+        let root_relation = format!("R{}", atom + 1);
+        let batch = DeltaBatch::new()
+            .delete(&root_relation, top_root_tuple)
+            .insert(
+                &root_relation,
+                Tuple::new(top.values()[atom..atom + 2].to_vec(), 0.0),
+            );
+        let next = Arc::new(snapshot.apply_delta(&batch).unwrap());
+        let refreshed = Arc::new(plan.refresh(Arc::clone(&next), &batch).unwrap());
+        let rebuilt = Arc::new(PreparedQuery::from_spec(Arc::clone(&next), &spec).unwrap());
+        assert_streams_bit_identical(&refreshed, &rebuilt);
+        let new_top = refreshed.enumerate(alg).next().unwrap();
+        assert!(
+            new_top.weight() < top.weight() && new_top.values() == top.values(),
+            "{alg}: the inserted tuple leads the refreshed stream"
+        );
+
+        // The cursor opened before the refresh finishes its own generation.
+        let mut got = vec![top];
+        got.extend(pinned);
+        assert_eq!(got, pinned_expected, "{alg}: pinned stream unchanged");
+    }
+}
+
 #[test]
 fn refresh_without_delta_support_is_a_typed_error() {
     let mut weights = Weights::new(3);

@@ -220,12 +220,18 @@
 //!   workload (see [`PreparedQuery::mem_profile`](anyk_engine::PreparedQuery::mem_profile)).
 //! * `max_pages_in_flight` bounds *CPU overcommit* — pulls beyond it shed
 //!   instead of queueing. A good default is your worker-thread count.
-//! * `memory_budget_units` is denominated in MEM(k) units (live entries in
-//!   candidate queues + prefix arenas + successor structures,
-//!   [`anyk_core::MemoryStats::resident_units`]); sessions are re-charged
-//!   their actual footprint after every page, so the budget tracks reality,
-//!   not a static estimate. `Recursive`/`Batch` cursors, which do not
-//!   expose those structures, are charged the flat
+//! * `memory_budget_units` is denominated in MEM(k) units
+//!   ([`anyk_core::MemoryStats::resident_units`]: entries in the candidate
+//!   queue and the prefix arena, the plan's (state, branch) pairs — the key
+//!   space of the cursor's successor-structure index — and the choices held
+//!   by the structures built so far). Sessions are re-charged their actual
+//!   footprint after every page, so the budget tracks reality, not a static
+//!   estimate; the cursor keeps these figures as counters, so the re-charge
+//!   reads five numbers however large the plan is. The count is logical: a
+//!   root structure the plan built once and lends to every cursor is charged
+//!   to each of them, so a session costs the same units whether it is the
+//!   first on its plan or the thousandth. `Recursive`/`Batch` cursors, which
+//!   do not expose those structures, are charged the flat
 //!   `untracked_session_units` rate.
 //! * `session_ttl` caps total session lifetime; `idle_timeout` reclaims
 //!   abandoned sessions. Both `None` (the default) means sessions live
@@ -235,8 +241,9 @@
 //!
 //! The [`faults`] module (re-exported from `anyk_core`) is a
 //! no-dependencies failpoint registry wired through the whole stack —
-//! index build, bottom-up preprocessing, plan compilation, the paging
-//! path, and the service entry points. Tests (and operators, via the
+//! index build, bottom-up preprocessing, plan compilation, sharded-plan
+//! build, delta refresh and the core patch under it, the paging path, and
+//! the service entry points ([`faults::SITES`] lists them). Tests (and operators, via the
 //! `ANYK_FAULTS` environment variable) arm error or panic faults at named
 //! sites to prove the containment story above; unarmed, every hook is one
 //! relaxed atomic load.

@@ -8,6 +8,7 @@
 
 use anyk_core::AnyKAlgorithm;
 use anyk_datagen::uniform::path_or_star_database;
+use anyk_engine::EngineError;
 use anyk_server::faults::{self, FaultPlan, Trigger, SITES};
 use anyk_server::{
     Answer, Clock, GovernorConfig, ManualClock, OverloadReason, QueryService, ServiceConfig,
@@ -94,6 +95,11 @@ fn assert_metrics_consistent(service: &QueryService) {
     assert_eq!(m.pages_in_flight, 0, "all page permits returned");
 }
 
+/// Sites that opening and paging an unsharded session never reach: plan
+/// migration during `ingest` (and, for `engine.shard`, sharded plans). The
+/// `ingest_survives_*` cases below drive them.
+const INGEST_PATH_SITES: [&str; 3] = ["core.patch", "engine.refresh", "engine.shard"];
+
 /// Every failpoint site, under both actions, is contained to a typed error
 /// — and the service is fully healthy the moment the plan disarms.
 #[test]
@@ -102,7 +108,11 @@ fn every_failpoint_site_is_contained() {
     quiet_injected_panics();
     // `net.*` sites sit on the TCP transport, which an in-process service
     // never reaches; tests/net_chaos.rs drives those.
-    for site in SITES.iter().copied().filter(|s| !s.starts_with("net.")) {
+    for site in SITES
+        .iter()
+        .copied()
+        .filter(|s| !s.starts_with("net.") && !INGEST_PATH_SITES.contains(s))
+    {
         for panic_action in [false, true] {
             let service = QueryService::new(small_path_db());
             let plan = if panic_action {
@@ -470,6 +480,173 @@ fn random_batch(db: &Database, rng: &mut SmallRng) -> DeltaBatch {
         batch = batch.delete("R2", rng.gen_range(0..db.expect("R2").len()));
     }
     batch
+}
+
+/// Stream session `id` to exhaustion, appending to `got`.
+fn drain(service: &QueryService, id: SessionId, mut got: Vec<Answer>) -> Vec<Answer> {
+    loop {
+        let page = service.next_page(id, 16).unwrap();
+        got.extend(page.answers);
+        if page.done {
+            return got;
+        }
+    }
+}
+
+/// One ingest with `site` armed (`also` arms a second site that must fail
+/// for `site` to be reached at all), under both actions.
+///
+/// The fault lands inside plan migration, which by design never fails an
+/// ingest: a plan that cannot be refreshed is recompiled, one that cannot
+/// be recompiled is dropped and compiled again on demand. So the ingest
+/// returns the next generation, the metrics say which fallback ran, and —
+/// what the registry exists to prove — the session opened before the ingest
+/// streams its pinned generation bit-identically, sessions opened after it
+/// stream what a from-scratch service over the same data streams, and every
+/// MEM(k) unit comes back. Where the site sits on a fallible path, the
+/// error it injects is typed at the boundary that owns it; `typed_probe`
+/// checks that while the plan is still armed.
+fn ingest_survives(
+    site: &'static str,
+    also: Option<&'static str>,
+    shards: Option<usize>,
+    migrated: impl Fn(&ServiceMetrics) -> bool,
+    typed_probe: impl Fn(&QueryService, bool),
+) {
+    let _serial = serial();
+    quiet_injected_panics();
+    assert!(SITES.contains(&site), "{site} is registered");
+    let config = || ServiceConfig {
+        shards,
+        ..ServiceConfig::default()
+    };
+    let text = format!("{WIDE_QUERY} via take2");
+    for panic_action in [false, true] {
+        let mut shadow = wide_path_db(41);
+        let service = QueryService::with_config(shadow.clone(), config());
+        let before = {
+            let oracle = QueryService::with_config(shadow.clone(), config());
+            drain(
+                &oracle,
+                oracle.open_session_text(&text).unwrap(),
+                Vec::new(),
+            )
+        };
+        let pinned = service.open_session_text(&text).unwrap();
+        let first = service.next_page(pinned, 5).unwrap().answers;
+
+        let batch = random_batch(&shadow, &mut SmallRng::seed_from_u64(0xFA17));
+        shadow = shadow.apply_delta(&batch).unwrap();
+        let mut plan = FaultPlan::new();
+        for s in [Some(site), also].into_iter().flatten() {
+            plan = if panic_action {
+                plan.panic(s, Trigger::Always)
+            } else {
+                plan.error(s, Trigger::Always)
+            };
+        }
+        let guard = faults::install(plan);
+        assert_eq!(
+            service.ingest(&batch).unwrap(),
+            1,
+            "{site}: ingest contained"
+        );
+        assert!(guard.hits(site) >= 1, "failpoint {site} was exercised");
+        let m = service.metrics();
+        assert_eq!(m.plans_refreshed, 0, "{site}: the refresh was the casualty");
+        assert!(migrated(&m), "{site}: {m:?}");
+        typed_probe(&service, panic_action);
+        drop(guard);
+
+        assert_eq!(
+            drain(&service, pinned, first),
+            before,
+            "{site}: the previous generation streams on, bit-identical"
+        );
+        let fresh = service.open_session_text(&text).unwrap();
+        let after = drain(&service, fresh, Vec::new());
+        let rebuilt = QueryService::with_config(shadow.clone(), config());
+        assert_eq!(
+            after,
+            drain(
+                &rebuilt,
+                rebuilt.open_session_text(&text).unwrap(),
+                Vec::new()
+            ),
+            "{site}: the new generation ≡ a from-scratch rebuild"
+        );
+        service.close_session(pinned);
+        service.close_session(fresh);
+        let m = service.metrics();
+        assert_eq!(m.mem_resident_units, 0, "{site}");
+        assert_eq!(m.active_generations, 1, "{site}: generation 0 retired");
+        assert_metrics_consistent(&service);
+    }
+}
+
+/// `engine.refresh` (fallible): the plan's refresh returns the typed fault,
+/// the service recompiles instead.
+#[test]
+fn ingest_survives_a_fault_at_engine_refresh() {
+    ingest_survives(
+        "engine.refresh",
+        None,
+        None,
+        |m| m.plans_recompiled == 1,
+        |service, panic_action| {
+            // The same call the migration made, made directly.
+            let plan = service.prepare_text(WIDE_QUERY).unwrap();
+            let db = service.database();
+            let noop = DeltaBatch::new();
+            let refreshed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                plan.refresh(Arc::new(db.apply_delta(&noop).unwrap()), &noop)
+            }));
+            match (refreshed, panic_action) {
+                (Ok(Err(EngineError::Fault(i))), false) => assert_eq!(i.site, "engine.refresh"),
+                (Err(_), true) => {}
+                (other, _) => panic!("engine.refresh: unexpected {:?}", other.map(|r| r.err())),
+            }
+        },
+    );
+}
+
+/// `core.patch` (infallible path, so both actions panic): the panic is
+/// caught around the refresh and the service recompiles instead.
+#[test]
+fn ingest_survives_a_fault_at_core_patch() {
+    ingest_survives(
+        "core.patch",
+        None,
+        None,
+        |m| m.plans_recompiled == 1,
+        |_, _| {},
+    );
+}
+
+/// `engine.shard` (fallible) guards the *build* of a sharded plan, which an
+/// ingest reaches only when the per-shard refresh failed first. With both
+/// down the plan is dropped; opening it while still armed fails typed, and
+/// once disarmed it is compiled again on demand.
+#[test]
+fn ingest_survives_a_fault_at_engine_shard() {
+    ingest_survives(
+        "engine.shard",
+        Some("engine.refresh"),
+        Some(2),
+        |m| m.plans_recompiled == 0,
+        |service, panic_action| {
+            let err = service
+                .open_session_text(&format!("{WIDE_QUERY} via take2"))
+                .unwrap_err();
+            match (err, panic_action) {
+                (ServiceError::Fault(i), false) => assert_eq!(i.site, "engine.shard"),
+                (ServiceError::Panicked { context }, true) => {
+                    assert!(context.contains("engine.shard"), "{context}")
+                }
+                (other, _) => panic!("engine.shard: unexpected {other}"),
+            }
+        },
+    );
 }
 
 /// Rotation + ingestion under concurrency: each round opens 8 paging
