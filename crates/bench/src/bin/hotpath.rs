@@ -31,13 +31,6 @@
 //! dirty-cone re-sweep behind `QueryService::ingest`) versus a full
 //! recompile over the same post-edit data, reporting the refresh speedup.
 //!
-//! A `shard4` scenario sweeps the sharded-enumeration subsystem
-//! (`anyk_engine::ShardedPreparedQuery`): preparation wall-clock versus
-//! shard count ∈ {1, 2, 4, 8} on a path-4 instance 10× the default scale,
-//! plus TTF / TT(k) of the k-way-merged stream — per-shard preprocessing
-//! runs in parallel, so `prep_ms` should fall with the shard count (up to
-//! the core count) while TT(k) stays within noise of one shard.
-//!
 //! An `obs` scenario prices the observability layer itself: TT(1000) on the
 //! path-4 paged cursor with per-answer delay recording on versus off
 //! (`anyk_obs::set_recording`), interleaved best-of-N so thermal drift hits
@@ -690,81 +683,6 @@ fn run_obs(w: &Workload) -> ObsRun {
     }
 }
 
-struct ShardRun {
-    shards: usize,
-    prep_ms: f64,
-    /// Rendered via [`ms`] ("null" when the stream was empty/short).
-    ttf_ms: String,
-    tt1000_ms: String,
-}
-
-/// Shard counts the `shard4` scenario sweeps. 1 is the baseline (a
-/// single-shard `ShardedPreparedQuery`, so the sweep isolates partitioning
-/// + parallel prep from the merge machinery's fixed cost).
-const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-/// `shard4`: hash-partitioned preprocessing vs shard count on a path-4
-/// instance 10× the default per-workload scale — large enough that the
-/// bottom-up sweep, not compilation, dominates `prep_ms`. For each shard
-/// count the scenario reports the best-of-[`REPEATS`] preparation wall
-/// clock (partition + per-shard T-DP, shards prepared in parallel) and the
-/// TTF / TT([`LIMIT`]) of the merged stream (Take2, pages of 1, so every
-/// answer crosses the k-way merge heap). On a box with ≥ 4 cores `prep_ms`
-/// should drop near-linearly while TT(k) stays within noise; on smaller
-/// boxes the serial partition pass and the per-shard fixed costs have no
-/// spare cores to hide behind, so the curve flattens or even rises — the
-/// recorded numbers say which.
-fn run_shard(spec: &QuerySpec, db: &Arc<Database>) -> Vec<ShardRun> {
-    use anyk_engine::{PrepareOptions, ShardedPreparedQuery};
-    let mut runs = Vec::new();
-    for &shards in &SHARD_COUNTS {
-        let mut prep_best = f64::MAX;
-        let mut best: Option<EnumerationTrace> = None;
-        for _ in 0..REPEATS {
-            let t = Instant::now();
-            let prepared = Arc::new(
-                ShardedPreparedQuery::from_spec(
-                    Arc::clone(db),
-                    spec,
-                    shards,
-                    PrepareOptions::default(),
-                )
-                .expect("path-4 shards on a join variable"),
-            );
-            prep_best = prep_best.min(t.elapsed().as_secs_f64() * 1e3);
-
-            let mut cursor = prepared.cursor(AnyKAlgorithm::Take2);
-            let mut trace = EnumerationTrace::new();
-            let mut served = 0usize;
-            loop {
-                let page = cursor.next_page(1);
-                for _ in 0..page.answers.len() {
-                    trace.record();
-                }
-                served += page.answers.len();
-                if page.done || served >= LIMIT {
-                    break;
-                }
-            }
-            let better = match &best {
-                None => true,
-                Some(b) => trace.ttl() < b.ttl(),
-            };
-            if better {
-                best = Some(trace);
-            }
-        }
-        let trace = best.expect("at least one repeat");
-        runs.push(ShardRun {
-            shards,
-            prep_ms: prep_best,
-            ttf_ms: ms(trace.ttf()),
-            tt1000_ms: ms(trace.tt(LIMIT).or_else(|| trace.ttl())),
-        });
-    }
-    runs
-}
-
 fn main() {
     let scale = Scale::from_env();
     let mut json = String::from("{\n");
@@ -1091,46 +1009,6 @@ fn main() {
     let _ = writeln!(json, "    \"delay_p99_ns\": {},", obs.delay.p99);
     let _ = writeln!(json, "    \"delay_max_ns\": {}", obs.delay.max);
     json.push_str("  }");
-
-    // Shard scenario: preprocessing wall-clock vs shard count on a path-4
-    // instance 10× the default scale, plus the merged stream's TT(k) —
-    // the scaling curve for the sharded-enumeration subsystem.
-    let shard_n = scale.pick(800, 500_000, 2_000_000);
-    let shard_db = Arc::new(uniform::path_or_star_database(4, shard_n, &mut rng(15)));
-    let shard_spec = QuerySpec::from_query(
-        &QueryBuilder::path(4).build(),
-        RankingFunction::SumAscending,
-    );
-    let shard_tuples: usize = shard_spec
-        .atoms
-        .iter()
-        .map(|a| shard_db.expect(&a.relation).len())
-        .sum();
-    let shard_runs = run_shard(&shard_spec, &shard_db);
-    println!("== shard4 ({shard_tuples} input tuples, {threads} prep threads) ==");
-    for r in &shard_runs {
-        println!(
-            "  shards {:<2} prep {:>10.4}ms  ttf {:>12}  tt(1000) {:>12}",
-            r.shards, r.prep_ms, r.ttf_ms, r.tt1000_ms
-        );
-    }
-    json.push_str(",\n  \"shard4\": {\n");
-    let _ = writeln!(json, "    \"workload\": \"path4\",");
-    let _ = writeln!(json, "    \"input_tuples\": {shard_tuples},");
-    let _ = writeln!(json, "    \"algorithm\": \"Take2\",");
-    let _ = writeln!(json, "    \"prep_threads\": {threads},");
-    json.push_str("    \"runs\": [\n");
-    for (ri, r) in shard_runs.iter().enumerate() {
-        if ri > 0 {
-            json.push_str(",\n");
-        }
-        let _ = write!(
-            json,
-            "      {{\"shards\": {}, \"prep_ms\": {:.4}, \"ttf_ms\": {}, \"tt1000_ms\": {}}}",
-            r.shards, r.prep_ms, r.ttf_ms, r.tt1000_ms
-        );
-    }
-    json.push_str("\n    ]\n  }");
 
     if let Ok(path) = std::env::var("ANYK_HOTPATH_BASELINE") {
         if let Ok(baseline) = std::fs::read_to_string(&path) {

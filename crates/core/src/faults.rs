@@ -34,8 +34,6 @@ use std::sync::{Mutex, MutexGuard};
 /// * `engine.compile` — start of plan preparation (fallible).
 /// * `engine.refresh` — start of a plan's delta refresh (fallible). Reached
 ///   only by ingestion over a cached, refreshable plan.
-/// * `engine.shard` — start of a sharded plan's build, before the database
-///   is partitioned (fallible). Reached only by plans with two or more shards.
 /// * `engine.page` — per answer pulled inside a cursor page fill
 ///   (infallible path; a panic here lands mid-stream, mid-page).
 /// * `server.open` — session admission, before a cursor is built (fallible).
@@ -45,13 +43,12 @@ use std::sync::{Mutex, MutexGuard};
 /// * `net.read` — per socket read inside the server's frame decoder
 ///   (fallible: a fired rule becomes an I/O error and drops the connection).
 /// * `net.write` — per response write on the server side (fallible: ditto).
-pub const SITES: [&str; 12] = [
+pub const SITES: [&str; 11] = [
     "storage.index_build",
     "core.bottom_up",
     "core.patch",
     "engine.compile",
     "engine.refresh",
-    "engine.shard",
     "engine.page",
     "server.open",
     "server.page",

@@ -1,32 +1,31 @@
 //! Property tests for the UT-DP union merge (§5.2): partitioning a ranked
-//! stream across shards and merging it back through [`UnionEnumerator`] is
+//! stream across sources and merging it back through [`UnionEnumerator`] is
 //! the identity, no matter how the items are split — including duplicate
-//! keys (tied weights) and empty shards. This is the algebra the sharded
-//! enumeration path (`anyk_engine::ShardedPreparedQuery`) stands on.
+//! keys (tied weights) and empty sources. This is the algebra the cycle
+//! decomposition's union of tree plans (`anyk_engine::RankedQuery`) stands on.
 
 use anyk_core::UnionEnumerator;
 use proptest::prelude::*;
 
 /// One ranked item: a coarse weight (small range so ties are common) and an
-/// identity payload. The merge key is `(weight, id)` — the same
-/// "weight, then answer values" discipline the sharded cursor uses, a total
-/// order under which bit-identity is well-defined even with tied weights.
+/// identity payload. The merge key is `(weight, id)`, a total order under
+/// which bit-identity is well-defined even with tied weights.
 type Item = (u16, u32);
 
-fn merged_via_union(items: &[Item], assignment: &[usize], shards: usize) -> Vec<Item> {
-    let mut parts: Vec<Vec<Item>> = vec![Vec::new(); shards];
-    for (item, &shard) in items.iter().zip(assignment) {
-        parts[shard % shards].push(*item);
+fn merged_via_union(items: &[Item], assignment: &[usize], sources: usize) -> Vec<Item> {
+    let mut parts: Vec<Vec<Item>> = vec![Vec::new(); sources];
+    for (item, &source) in items.iter().zip(assignment) {
+        parts[source % sources].push(*item);
     }
-    // Each shard stream must itself be ranked, like a per-shard cursor.
+    // Each source stream must itself be ranked, like a tree plan's stream.
     for p in &mut parts {
         p.sort();
     }
-    let sources: Vec<_> = parts
+    let streams: Vec<_> = parts
         .into_iter()
         .map(|p| p.into_iter().map(|it| (it, it)))
         .collect();
-    UnionEnumerator::new(sources).map(|(_, it)| it).collect()
+    UnionEnumerator::new(streams).map(|(_, it)| it).collect()
 }
 
 proptest! {
@@ -38,34 +37,34 @@ proptest! {
     fn any_partition_merges_back_to_the_single_source_stream(
         items in proptest::collection::vec((0u16..8, 0u32..1000), 0..60),
         assignment in proptest::collection::vec(0usize..7, 60),
-        shards in 1usize..7,
+        sources in 1usize..7,
     ) {
         let mut single = items.clone();
         single.sort();
-        let merged = merged_via_union(&items, &assignment[..items.len()], shards);
+        let merged = merged_via_union(&items, &assignment[..items.len()], sources);
         prop_assert_eq!(merged, single);
     }
 
-    /// Degenerate partitions behave too: everything on one shard of many
-    /// (every other shard empty) and one item per shard.
+    /// Degenerate partitions behave too: everything on one source of many
+    /// (every other source empty) and one item per source.
     #[test]
-    fn empty_and_singleton_shards_are_harmless(
+    fn empty_and_singleton_sources_are_harmless(
         items in proptest::collection::vec((0u16..4, 0u32..100), 0..20),
-        shards in 2usize..9,
+        sources in 2usize..9,
     ) {
         let mut single = items.clone();
         single.sort();
-        let all_on_one = vec![shards - 1; items.len()];
-        prop_assert_eq!(merged_via_union(&items, &all_on_one, shards), single.clone());
+        let all_on_one = vec![sources - 1; items.len()];
+        prop_assert_eq!(merged_via_union(&items, &all_on_one, sources), single.clone());
         let spread: Vec<usize> = (0..items.len()).collect();
-        prop_assert_eq!(merged_via_union(&items, &spread, shards), single);
+        prop_assert_eq!(merged_via_union(&items, &spread, sources), single);
     }
 
     /// With deduplication on (non-disjoint decompositions), duplicated
     /// items collapse: the merge of a stream unioned with copies of itself
     /// is the distinct stream.
     #[test]
-    fn deduplicating_merge_drops_cross_shard_copies(
+    fn deduplicating_merge_drops_cross_source_copies(
         items in proptest::collection::vec((0u16..6, 0u32..50), 0..30),
         copies in 2usize..4,
     ) {

@@ -110,7 +110,7 @@ where
     D: Dioid<V = OrderedF64>,
     F: Fn(RowRef<'_>) -> f64,
 {
-    compile_with_opts(db, query, weight_fn, false, None)
+    compile_with_opts(db, query, weight_fn, false)
 }
 
 /// Like [`compile_with`], additionally retaining the full T-DP topology and
@@ -125,20 +125,16 @@ where
     D: Dioid<V = OrderedF64>,
     F: Fn(RowRef<'_>) -> f64,
 {
-    compile_with_opts(db, query, weight_fn, true, None)
+    compile_with_opts(db, query, weight_fn, true)
 }
 
-/// The fully explicit compile entry point: `retain_delta` as in
-/// [`compile_with_delta`], plus `threads` pinning the bottom-up sweep's
-/// worker count (`None` falls back to the `ANYK_THREADS` process env via
-/// [`anyk_core::tdp::default_bottom_up_threads`]). Sharded preparation uses
-/// this to keep per-shard compiles from oversubscribing the machine.
+/// The compile entry point with `retain_delta` explicit (as in
+/// [`compile_with_delta`]).
 pub fn compile_with_opts<D, F>(
     db: &Database,
     query: &ConjunctiveQuery,
     weight_fn: F,
     retain_delta: bool,
-    threads: Option<usize>,
 ) -> Result<Compiled<D>, EngineError>
 where
     D: Dioid<V = OrderedF64>,
@@ -147,7 +143,7 @@ where
     validate(db, query)?;
     let join_tree = gyo::join_tree(query.atoms())
         .ok_or_else(|| EngineError::UnsupportedCyclicQuery(query.to_string()))?;
-    compile_over_tree_inner(db, query, &join_tree, weight_fn, retain_delta, threads)
+    compile_over_tree_inner(db, query, &join_tree, weight_fn, retain_delta)
 }
 
 /// Compile an acyclic full CQ over an explicitly provided join tree (used by
@@ -166,7 +162,7 @@ where
     D: Dioid<V = OrderedF64>,
     F: Fn(RowRef<'_>) -> f64,
 {
-    compile_over_tree_inner(db, query, join_tree, weight_fn, false, None)
+    compile_over_tree_inner(db, query, join_tree, weight_fn, false)
 }
 
 fn compile_over_tree_inner<D, F>(
@@ -175,7 +171,6 @@ fn compile_over_tree_inner<D, F>(
     join_tree: &JoinTree,
     weight_fn: F,
     retain_delta: bool,
-    threads: Option<usize>,
 ) -> Result<Compiled<D>, EngineError>
 where
     D: Dioid<V = OrderedF64>,
@@ -314,8 +309,7 @@ where
         states_of_atom[atom_idx] = states;
     }
 
-    let instance = builder
-        .build_with_threads(threads.unwrap_or_else(anyk_core::tdp::default_bottom_up_threads));
+    let instance = builder.build();
 
     // Map serial output stages back to atom indices.
     let stage_to_atom: HashMap<StageId, usize> = stage_of_atom

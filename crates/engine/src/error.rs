@@ -46,12 +46,6 @@ pub enum EngineError {
     /// support, cycle-decomposed, or carrying selection-pushdown scratch
     /// relations. The caller should recompile from scratch instead.
     RefreshUnsupported(String),
-    /// Sharded preparation ([`crate::ShardedPreparedQuery`]) cannot cover
-    /// this query: no join variable admits a consistent co-partitioning, or
-    /// the spec carries selection predicates (whose pushdown scratch copies
-    /// would break the witness-id correspondence between sharded and
-    /// unsharded streams). Prepare unsharded instead.
-    ShardingUnsupported(String),
     /// A chaos-testing failpoint fired on the preparation path (see
     /// [`anyk_core::faults`]); never produced unless a fault plan is armed.
     Fault(anyk_core::faults::Injected),
@@ -94,9 +88,6 @@ impl fmt::Display for EngineError {
             ),
             EngineError::RefreshUnsupported(why) => {
                 write!(f, "plan cannot be delta-maintained ({why}); recompile instead")
-            }
-            EngineError::ShardingUnsupported(why) => {
-                write!(f, "query cannot be shard-partitioned ({why}); prepare unsharded")
             }
             EngineError::Parse(e) => write!(f, "{e}"),
             EngineError::Fault(e) => write!(f, "{e}"),

@@ -50,16 +50,14 @@ mod ranked;
 pub mod rankjoin;
 mod refresh;
 mod select;
-pub mod shard;
 pub mod wcoj;
 pub mod yannakakis;
 
 pub use answer::{Answer, AnswerDecoder, DecodedValue};
 pub use compile::Compiled;
 pub use error::EngineError;
-pub use prepared::{AnswerCursor, CancellationToken, Page, PrepareOptions, PreparedQuery};
+pub use prepared::{AnswerCursor, CancellationToken, Page, PreparedQuery};
 pub use ranked::{AnswerStream, RankedQuery};
-pub use shard::{ShardedCursor, ShardedPreparedQuery};
 // Re-exported from `anyk-query`, where request descriptions (`QuerySpec`)
 // live; existing `anyk_engine::RankingFunction` imports keep working.
 pub use anyk_query::RankingFunction;

@@ -91,24 +91,6 @@ impl CancellationToken {
     }
 }
 
-/// Knobs for [`PreparedQuery::from_spec_opts`]: everything the funnel
-/// constructors ([`PreparedQuery::from_spec`],
-/// [`PreparedQuery::from_spec_delta`], …) hard-code.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PrepareOptions {
-    /// Retain the delta-maintenance bookkeeping that lets
-    /// [`PreparedQuery::refresh`] patch the plan under a [`DeltaBatch`]
-    /// instead of recompiling; see [`PreparedQuery::prepare_delta`].
-    pub retain_delta: bool,
-    /// Worker count for the bottom-up preprocessing sweep. `None` falls back
-    /// to the `ANYK_THREADS` process env
-    /// ([`anyk_core::tdp::default_bottom_up_threads`]); servers plumb their
-    /// configured `threads` knob through here so deployments don't depend on
-    /// process-wide env, and sharded preparation pins per-shard counts to
-    /// avoid oversubscription.
-    pub threads: Option<usize>,
-}
-
 /// A conjunctive query compiled and preprocessed once, owning everything it
 /// needs to enumerate (`Arc`-shared database snapshot + compiled plan).
 ///
@@ -137,25 +119,7 @@ impl PreparedQuery {
         query: &ConjunctiveQuery,
         ranking: RankingFunction,
     ) -> Result<Self, EngineError> {
-        Self::build(db, query.clone(), ranking, &[], false, None)
-    }
-
-    /// [`PreparedQuery::prepare`] with every knob explicit; see
-    /// [`PrepareOptions`].
-    pub fn prepare_opts(
-        db: Arc<Database>,
-        query: &ConjunctiveQuery,
-        ranking: RankingFunction,
-        options: PrepareOptions,
-    ) -> Result<Self, EngineError> {
-        Self::build(
-            db,
-            query.clone(),
-            ranking,
-            &[],
-            options.retain_delta,
-            options.threads,
-        )
+        Self::build(db, query.clone(), ranking, &[], false)
     }
 
     /// Like [`PreparedQuery::prepare`], additionally retaining the
@@ -169,7 +133,7 @@ impl PreparedQuery {
         query: &ConjunctiveQuery,
         ranking: RankingFunction,
     ) -> Result<Self, EngineError> {
-        Self::build(db, query.clone(), ranking, &[], true, None)
+        Self::build(db, query.clone(), ranking, &[], true)
     }
 
     /// Compile and preprocess a [`QuerySpec`](anyk_query::QuerySpec):
@@ -181,7 +145,7 @@ impl PreparedQuery {
     /// those attributes per cursor ([`PreparedQuery::cursor_with_limit`]).
     pub fn from_spec(db: Arc<Database>, spec: &anyk_query::QuerySpec) -> Result<Self, EngineError> {
         let query = spec.to_query()?;
-        Self::build(db, query, spec.ranking, &spec.predicates, false, None)
+        Self::build(db, query, spec.ranking, &spec.predicates, false)
     }
 
     /// [`PreparedQuery::from_spec`] with delta-maintenance bookkeeping; see
@@ -191,25 +155,7 @@ impl PreparedQuery {
         spec: &anyk_query::QuerySpec,
     ) -> Result<Self, EngineError> {
         let query = spec.to_query()?;
-        Self::build(db, query, spec.ranking, &spec.predicates, true, None)
-    }
-
-    /// [`PreparedQuery::from_spec`] with every knob explicit; see
-    /// [`PrepareOptions`].
-    pub fn from_spec_opts(
-        db: Arc<Database>,
-        spec: &anyk_query::QuerySpec,
-        options: PrepareOptions,
-    ) -> Result<Self, EngineError> {
-        let query = spec.to_query()?;
-        Self::build(
-            db,
-            query,
-            spec.ranking,
-            &spec.predicates,
-            options.retain_delta,
-            options.threads,
-        )
+        Self::build(db, query, spec.ranking, &spec.predicates, true)
     }
 
     /// Parse `text` in the query language and prepare it; see
@@ -224,17 +170,14 @@ impl PreparedQuery {
         ranking: RankingFunction,
         predicates: &[anyk_query::Predicate],
         retain_delta: bool,
-        threads: Option<usize>,
     ) -> Result<Self, EngineError> {
         let effective = crate::select::rewrite_selections(&db, &query, predicates)?;
         let plan = match &effective {
             // Selection-pushdown plans compile over scratch relation copies
             // that a delta cannot be mapped onto; they recompile on
             // ingestion, so the bookkeeping would be dead weight.
-            Some((scratch, rewritten)) => {
-                Plan::prepare_opts(scratch, rewritten, ranking, false, threads)?
-            }
-            None => Plan::prepare_opts(&db, &query, ranking, retain_delta, threads)?,
+            Some((scratch, rewritten)) => Plan::prepare(scratch, rewritten, ranking, false)?,
+            None => Plan::prepare(&db, &query, ranking, retain_delta)?,
         };
         Ok(PreparedQuery {
             db,

@@ -222,27 +222,15 @@ pub(crate) enum Plan {
 impl Plan {
     /// Compile `query` over `db` under `ranking` (validation, join-tree /
     /// cycle-decomposition selection, T-DP compilation, bottom-up phase).
+    /// `retain_delta` compiles acyclic plans through [`compile_with_delta`],
+    /// enabling [`Plan::refresh`] at the cost of one extra CSR copy plus
+    /// `O(n)` tuple→state maps (cycle plans ignore the flag — they recompile
+    /// from scratch on ingestion).
     pub(crate) fn prepare(
         db: &Database,
         query: &ConjunctiveQuery,
         ranking: RankingFunction,
-    ) -> Result<Self, EngineError> {
-        Self::prepare_opts(db, query, ranking, false, None)
-    }
-
-    /// [`Plan::prepare`] with an explicit choice about delta support and
-    /// worker sizing: `retain_delta` compiles acyclic plans through
-    /// [`compile_with_delta`], enabling [`Plan::refresh`] at the cost of one
-    /// extra CSR copy plus `O(n)` tuple→state maps (cycle plans ignore the
-    /// flag — they recompile from scratch on ingestion); `threads` pins the
-    /// bottom-up sweep's worker count (`None` = the `ANYK_THREADS` env
-    /// default).
-    pub(crate) fn prepare_opts(
-        db: &Database,
-        query: &ConjunctiveQuery,
-        ranking: RankingFunction,
         retain_delta: bool,
-        threads: Option<usize>,
     ) -> Result<Self, EngineError> {
         anyk_core::faults::check("engine.compile")?;
         let _span = anyk_obs::phase::span(anyk_obs::Phase::Compile);
@@ -254,7 +242,6 @@ impl Plan {
                     query,
                     |t| ranking.encode(t.weight()),
                     retain_delta,
-                    threads,
                 )?;
                 Ok(Plan::AcyclicBottleneck(c))
             } else {
@@ -263,7 +250,6 @@ impl Plan {
                     query,
                     |t| ranking.encode(t.weight()),
                     retain_delta,
-                    threads,
                 )?;
                 Ok(Plan::AcyclicSum(c))
             }
@@ -275,13 +261,11 @@ impl Plan {
                 Ok(Plan::CycleBottleneck(Self::compile_trees::<MinMaxDioid>(
                     trees,
                     &original_head,
-                    threads,
                 )?))
             } else {
                 Ok(Plan::CycleSum(Self::compile_trees::<TropicalMin>(
                     trees,
                     &original_head,
-                    threads,
                 )?))
             }
         }
@@ -290,7 +274,6 @@ impl Plan {
     fn compile_trees<D: Dioid<V = OrderedF64>>(
         trees: Vec<cycle::DecomposedTree>,
         original_head: &[String],
-        threads: Option<usize>,
     ) -> Result<Vec<CycleTreePlan<D>>, EngineError> {
         trees
             .into_iter()
@@ -301,7 +284,6 @@ impl Plan {
                     &tree.query,
                     |t: RowRef<'_>| t.weight(),
                     false,
-                    threads,
                 )?;
                 let tree_head = tree.query.head_variables();
                 let head_perm = original_head
@@ -519,8 +501,8 @@ impl<'a> RankedQuery<'a> {
     ) -> Result<Self, EngineError> {
         let effective = crate::select::rewrite_selections(db, &query, predicates)?;
         let plan = match &effective {
-            Some((scratch, rewritten)) => Plan::prepare(scratch, rewritten, ranking)?,
-            None => Plan::prepare(db, &query, ranking)?,
+            Some((scratch, rewritten)) => Plan::prepare(scratch, rewritten, ranking, false)?,
+            None => Plan::prepare(db, &query, ranking, false)?,
         };
         Ok(RankedQuery {
             db,

@@ -41,18 +41,10 @@ pub enum Phase {
     WireRead = 5,
     /// Encoding and writing one response frame to a connection.
     WireWrite = 6,
-    /// Hash-partitioning a database snapshot into shard databases
-    /// (`Database::partition` driven by the engine's sharded preparation).
-    ShardPartition = 7,
-    /// One shard's compile + preprocess inside a sharded preparation; the
-    /// per-shard spans overlap in wall-clock (they run under
-    /// `std::thread::scope`), so this phase's total exceeds the elapsed
-    /// prep time whenever sharding actually parallelises.
-    ShardPrep = 8,
 }
 
 /// Number of phases (array sizing).
-pub const PHASE_COUNT: usize = 9;
+pub const PHASE_COUNT: usize = 7;
 
 impl Phase {
     /// All phases in wire/display order.
@@ -64,8 +56,6 @@ impl Phase {
         Phase::Rotation,
         Phase::WireRead,
         Phase::WireWrite,
-        Phase::ShardPartition,
-        Phase::ShardPrep,
     ];
 
     /// Stable snake_case name (wire rendering, Prometheus labels).
@@ -78,8 +68,6 @@ impl Phase {
             Phase::Rotation => "rotation",
             Phase::WireRead => "wire_read",
             Phase::WireWrite => "wire_write",
-            Phase::ShardPartition => "shard_partition",
-            Phase::ShardPrep => "shard_prep",
         }
     }
 

@@ -60,9 +60,9 @@ pub struct PlanSummaries {
 /// Get-or-insert registry of [`PlanObs`] keyed by canonical plan key.
 ///
 /// Lookups happen at session open (cold path); the hot loop only ever
-/// touches the `Arc<PlanObs>` it was handed. The map is unbounded but keyed
-/// by *distinct prepared plans*, which the service's plan cache already
-/// bounds in practice.
+/// touches the `Arc<PlanObs>` it was handed. The map itself never forgets a
+/// key: the owner bounds it with [`PlanRegistry::retain`] (the service
+/// retires the keys its plan cache no longer holds).
 #[derive(Debug, Default)]
 pub struct PlanRegistry {
     plans: RwLock<HashMap<String, Arc<PlanObs>>>,
@@ -103,7 +103,15 @@ impl PlanRegistry {
         out
     }
 
-    /// Number of plans observed so far.
+    /// Retire every block whose key `keep` rejects. A cursor still holding
+    /// a retired block keeps recording into it; the block only stops being
+    /// reported, and a later [`PlanRegistry::handle`] for the key starts a
+    /// fresh one.
+    pub fn retain(&self, mut keep: impl FnMut(&str) -> bool) {
+        self.plans.write().unwrap().retain(|key, _| keep(key));
+    }
+
+    /// Number of plans currently registered.
     pub fn len(&self) -> usize {
         self.plans.read().unwrap().len()
     }
@@ -287,6 +295,12 @@ mod tests {
         assert_eq!(sums[0].0, "path4");
         assert_eq!(sums[1].0, "star3");
         assert_eq!(sums[0].1.ttf.count, 1);
+        // Retiring a key drops it from the report; the holder's block lives
+        // on, and the key starts over if it comes back.
+        reg.retain(|key| key != "path4");
+        assert_eq!(reg.len(), 1);
+        a.ttf.record(200);
+        assert!(!Arc::ptr_eq(&a, &reg.handle("path4")));
     }
 
     #[test]

@@ -18,7 +18,6 @@
 //! predicate := var "=" constant | constant "=" var
 //! constant  := nat | string
 //! clause    := "rank" "by" ranking | "via" algorithm | "limit" nat
-//!            | "shards" nat
 //! ranking   := "sum" [ "asc" | "desc" ] | "bottleneck" [ "asc" ]
 //! algorithm := "eager" | "lazy" | "all" | "take2" | "recursive" | "batch"
 //! var       := ident
@@ -405,7 +404,6 @@ pub fn parse_query(text: &str) -> Result<QuerySpec, ParseError> {
     let mut ranking: Option<RankingFunction> = None;
     let mut algorithm = None;
     let mut limit = None;
-    let mut shards = None;
     loop {
         let offset = p.offset();
         if p.eat_ident("rank") {
@@ -472,20 +470,6 @@ pub fn parse_query(text: &str) -> Result<QuerySpec, ParseError> {
                     ));
                 }
             }
-        } else if p.eat_ident("shards") {
-            if shards.is_some() {
-                return Err(ParseError::new(offset, "duplicate `shards` clause"));
-            }
-            let which = p.offset();
-            match p.next("a shard count")? {
-                Tok::Int(v) => shards = Some(*v as usize),
-                other => {
-                    return Err(ParseError::new(
-                        which,
-                        format!("expected a shard count, found {}", other.describe()),
-                    ));
-                }
-            }
         } else {
             break;
         }
@@ -547,7 +531,6 @@ pub fn parse_query(text: &str) -> Result<QuerySpec, ParseError> {
         ranking: ranking.unwrap_or_default(),
         algorithm,
         limit,
-        shards,
     };
 
     // The same checks as `QuerySpec::validate`, but each failure points at
@@ -645,24 +628,11 @@ mod tests {
     }
 
     #[test]
-    fn shards_clause_parses_round_trips_and_rejects_duplicates() {
-        let s = parse_query("Q(x) :- R(x, y) via lazy shards 4 limit 5").unwrap();
-        assert_eq!(s.shards, Some(4));
-        assert_eq!(s.to_text(), "Q(x) :- R(x, y) via lazy limit 5 shards 4");
-        assert_eq!(parse_query(&s.to_text()).unwrap(), s);
-        // Execution attribute: stripped from the plan key like limit/via.
-        assert_eq!(
-            s.plan_key(),
-            parse_query("Q(x) :- R(x, y)").unwrap().plan_key()
-        );
-        assert!(parse_query("Q(x) :- R(x, y) shards 2 shards 4")
-            .unwrap_err()
-            .message
-            .contains("duplicate `shards`"));
-        assert!(parse_query("Q(x) :- R(x, y) shards lots")
-            .unwrap_err()
-            .message
-            .contains("shard count"));
+    fn a_shards_clause_is_a_parse_error_at_its_token() {
+        let text = "Q(x) :- R(x, y) via lazy shards 4";
+        let err = parse_query(text).unwrap_err();
+        assert_eq!(err.offset, text.find("shards").unwrap());
+        assert!(err.message.contains("after the end of the query"));
     }
 
     #[test]

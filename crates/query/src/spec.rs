@@ -155,11 +155,6 @@ pub struct QuerySpec {
     /// Stop after this many ranked answers (execution attribute: not part of
     /// [`QuerySpec::plan_key`]).
     pub limit: Option<usize>,
-    /// Prepare the plan hash-partitioned into this many shards, overriding
-    /// the serving layer's default (execution attribute: not part of
-    /// [`QuerySpec::plan_key`]; how — or whether — it is honoured is the
-    /// execution layer's choice).
-    pub shards: Option<usize>,
 }
 
 impl QuerySpec {
@@ -173,7 +168,6 @@ impl QuerySpec {
             ranking: RankingFunction::SumAscending,
             algorithm: None,
             limit: None,
-            shards: None,
         }
     }
 
@@ -188,7 +182,6 @@ impl QuerySpec {
             ranking,
             algorithm: None,
             limit: None,
-            shards: None,
         }
     }
 
@@ -286,7 +279,6 @@ impl QuerySpec {
             ranking: self.ranking,
             algorithm: self.algorithm,
             limit: self.limit,
-            shards: self.shards,
         }
     }
 
@@ -310,9 +302,6 @@ impl QuerySpec {
         if let Some(limit) = self.limit {
             out.push_str(&format!(" limit {limit}"));
         }
-        if let Some(shards) = self.shards {
-            out.push_str(&format!(" shards {shards}"));
-        }
         out
     }
 
@@ -331,13 +320,12 @@ impl QuerySpec {
         self.without_execution_attrs().canonical_text()
     }
 
-    /// A copy with the execution attributes (algorithm, limit, shards)
+    /// A copy with the execution attributes (algorithm, limit)
     /// cleared — the part of the request that determines the compiled plan.
     pub fn without_execution_attrs(&self) -> QuerySpec {
         QuerySpec {
             algorithm: None,
             limit: None,
-            shards: None,
             ..self.clone()
         }
     }
@@ -394,10 +382,9 @@ mod tests {
         s.ranking = RankingFunction::SumDescending;
         s.algorithm = Some(AnyKAlgorithm::Take2);
         s.limit = Some(1000);
-        s.shards = Some(4);
         assert_eq!(
             s.to_text(),
-            "Q(x, y, z) :- R(x, y), S(y, z), y = 7 rank by sum desc via take2 limit 1000 shards 4"
+            "Q(x, y, z) :- R(x, y), S(y, z), y = 7 rank by sum desc via take2 limit 1000"
         );
     }
 

@@ -103,10 +103,6 @@ pub(crate) struct GovState {
     pub deltas_ingested: u64,
     pub plans_refreshed: u64,
     pub plans_recompiled: u64,
-    // Sharded enumeration (see `crate::service` — hash-partitioned plans
-    // merged through a ranked union). Lifetime counters.
-    pub sharded_sessions_opened: u64,
-    pub shards_prepared: u64,
     // Connection-level counters, bumped by the TCP transport
     // (`crate::net::AnyKServer`). They live in the same state block as the
     // session counters so one `metrics()` snapshot covers the whole stack

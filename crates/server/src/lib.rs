@@ -172,47 +172,6 @@
 //!   data: the plan cache starts cold, pinned sessions still finish their
 //!   old generation.
 //!
-//! ## Sharded enumeration
-//!
-//! [`ServiceConfig::shards`] (or a per-request `shards N` clause in the
-//! query text) turns a plan into a **hash-partitioned** ensemble: the
-//! service picks one join variable bound at a single, consistent column of
-//! every relation it touches, splits those relations by a hash of that
-//! column ([`anyk_storage::ShardSpec`]), and compiles one independent T-DP
-//! instance per shard **in parallel** — one `ShardPrep` phase span per
-//! shard, wall-clock roughly `prep / shards` on a machine with that many
-//! cores. Sessions over a sharded plan stream through a ranked k-way merge
-//! (the UT-DP union discipline of §5.2 of the paper).
-//!
-//! The invariants the implementation maintains:
-//!
-//! * **Partitioning** — every answer lives in exactly one shard: relations
-//!   binding the shard variable are split by the hash of its column;
-//!   relations not binding it are replicated (`Arc`-shared, not copied).
-//!   The dictionary, schema, and generation are shared/propagated, and
-//!   witness tuple ids are remapped shard-local → global, so a sharded
-//!   answer is byte-for-byte the unsharded answer.
-//! * **Merge ordering** — shard streams merge by `(encoded weight, head
-//!   values)`, a total order independent of the shard count: the merged
-//!   stream is **bit-identical** to the unsharded stream for every
-//!   algorithm and page size whenever weights are distinct (under exact
-//!   weight ties, the same answer *set* arrives with ties ordered by head
-//!   values).
-//! * **MEM accounting** — a sharded cursor reports the *sum* of its shard
-//!   streams' live MEM(k), so the governor's memory budget governs sharded
-//!   and unsharded sessions through one gauge.
-//! * **Ingestion** — [`QueryService::ingest`] routes each delta row to its
-//!   shard by the same hash and patches each shard's dirty cone; the
-//!   refreshed ensemble streams bit-identically to a from-scratch rebuild.
-//! * **Fallback** — queries the partitioner cannot cover (selection
-//!   predicates, self-joins) silently fall back to the single-stream plan;
-//!   [`ServiceMetrics::shards_prepared`] and
-//!   [`ServiceMetrics::sharded_sessions_opened`] say what actually ran.
-//!
-//! Sharded and unsharded plans are distinct cache entries (the key gains a
-//! `#shards=N` suffix), so flipping the shard count never serves a plan of
-//! the wrong shape.
-//!
 //! ## Tuning the governor
 //!
 //! * `max_sessions` bounds *suspended state*: each open session parks its
@@ -241,9 +200,9 @@
 //!
 //! The [`faults`] module (re-exported from `anyk_core`) is a
 //! no-dependencies failpoint registry wired through the whole stack —
-//! index build, bottom-up preprocessing, plan compilation, sharded-plan
-//! build, delta refresh and the core patch under it, the paging path, and
-//! the service entry points ([`faults::SITES`] lists them). Tests (and operators, via the
+//! index build, bottom-up preprocessing, plan compilation, delta refresh
+//! and the core patch under it, the paging path, and the service entry
+//! points ([`faults::SITES`] lists them). Tests (and operators, via the
 //! `ANYK_FAULTS` environment variable) arm error or panic faults at named
 //! sites to prove the containment story above; unarmed, every hook is one
 //! relaxed atomic load.
@@ -311,7 +270,9 @@
 //!   atomics at page boundaries. The per-plan distributions — TTF,
 //!   inter-answer delay, and page service latency, keyed by
 //!   [`QuerySpec::plan_key`] — are what
-//!   [`QueryService::stats_snapshot`] reports as [`PlanSummaries`]:
+//!   [`QueryService::stats_snapshot`] reports as [`PlanSummaries`], for at
+//!   most [`ServiceConfig::plan_cache_capacity`] plans (a key the plan
+//!   cache evicted leaves the report and starts over if it returns):
 //!   plot `delay.p99` against the theoretical `O(log n)` delay bound and a
 //!   regression is a dashboard artifact, not a bisection. In-process
 //!   callers get the same distribution per cursor via
@@ -385,10 +346,7 @@ pub use anyk_core::faults;
 
 // Re-exported so service callers can name the page/cursor/request types
 // without depending on anyk-engine / anyk-query directly.
-pub use anyk_engine::{
-    Answer, AnswerCursor, CancellationToken, Page, PreparedQuery, ShardedCursor,
-    ShardedPreparedQuery,
-};
+pub use anyk_engine::{Answer, AnswerCursor, CancellationToken, Page, PreparedQuery};
 pub use anyk_query::{ParseError, QuerySpec};
 
 // Re-exported so ingestion callers can build delta batches without

@@ -561,8 +561,11 @@ fn encode_stats(buf: &mut Vec<u8>, s: &StatsSnapshot) {
         put_u64(buf, p.max_nanos);
     }
     encode_summary(buf, &s.page_latency);
-    put_u16(buf, s.plans.len() as u16);
-    for (key, sums) in &s.plans {
+    // The count travels as a u16: a longer list is cut to fit, so the
+    // announced count always matches the entries that follow.
+    let plans = &s.plans[..s.plans.len().min(u16::MAX as usize)];
+    put_u16(buf, plans.len() as u16);
+    for (key, sums) in plans {
         put_u16(buf, key.len() as u16);
         buf.extend_from_slice(key.as_bytes());
         encode_summary(buf, &sums.ttf);
@@ -1236,6 +1239,24 @@ mod tests {
         bad_phase[phase_ids_off] = 0xEE;
         assert!(matches!(
             Response::decode(StatusCode::Stats as u8, &bad_phase),
+            Err(WireError::Protocol(_))
+        ));
+        // A well-formed frame in the version-2 layout (30 metrics, 9 phases)
+        // is refused, not read as a snapshot with shifted fields.
+        let mut v2 = Vec::new();
+        put_u32(&mut v2, 2);
+        put_u64(&mut v2, 9);
+        put_u16(&mut v2, 30);
+        v2.extend_from_slice(&[0; 8 * 30]);
+        v2.push(9);
+        for id in 0..9u8 {
+            v2.push(id);
+            v2.extend_from_slice(&[0; 8 * 3]);
+        }
+        encode_summary(&mut v2, &HistogramSummary::default());
+        put_u16(&mut v2, 0);
+        assert!(matches!(
+            Response::decode(StatusCode::Stats as u8, &v2),
             Err(WireError::Protocol(_))
         ));
     }

@@ -6,15 +6,12 @@ use crate::error::ServiceError;
 use crate::governor::{Governor, GovernorConfig, SessionOutcome};
 use crate::stats::{StatsSnapshot, STATS_VERSION};
 use anyk_core::AnyKAlgorithm;
-use anyk_engine::{
-    Answer, AnswerCursor, AnswerDecoder, CancellationToken, EngineError, Page, PrepareOptions,
-    PreparedQuery, RankingFunction, ShardedCursor, ShardedPreparedQuery,
-};
+use anyk_engine::{Answer, AnswerCursor, AnswerDecoder, Page, PreparedQuery, RankingFunction};
 use anyk_obs::{Event, EventKind, EventRing, LatencyHistogram, PlanObs, PlanRegistry};
 use anyk_query::{ConjunctiveQuery, QuerySpec};
 use anyk_storage::{Database, DeltaBatch, IndexCacheStats};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -75,20 +72,6 @@ pub struct ServiceConfig {
     /// how the session ended, oldest evicted first. `0` disables the rings
     /// entirely (every push becomes a no-op).
     pub session_event_capacity: usize,
-    /// Default shard count for new plans: when `Some(n)` with `n > 1`,
-    /// sessions compile hash-partitioned plans
-    /// ([`anyk_engine::ShardedPreparedQuery`]) whose per-shard preprocessing
-    /// runs in parallel, and stream through a ranked k-way merge. A
-    /// spec-level `shards N` clause overrides this per request. Queries the
-    /// partitioner cannot cover (selection predicates, self-joins) silently
-    /// fall back to the single-stream plan. `None` (the default) never
-    /// shards unless a spec asks.
-    pub shards: Option<usize>,
-    /// Worker threads for each plan's bottom-up preprocessing phase. `None`
-    /// (the default) falls back to the `ANYK_THREADS` environment variable
-    /// (and from there to the machine's parallelism); sharded preparation
-    /// divides this total across the shards compiling in parallel.
-    pub threads: Option<usize>,
 }
 
 impl Default for ServiceConfig {
@@ -100,8 +83,6 @@ impl Default for ServiceConfig {
             governor: GovernorConfig::default(),
             clock: None,
             session_event_capacity: 32,
-            shards: None,
-            threads: None,
         }
     }
 }
@@ -184,19 +165,13 @@ pub struct ServiceMetrics {
     /// Cached plans carried across an ingestion by full recompilation
     /// (selection-pushdown and cycle plans cannot be delta-refreshed).
     pub plans_recompiled: u64,
-    /// Sessions opened over a sharded plan (a subset of `sessions_opened`;
-    /// see [`ServiceConfig::shards`]).
-    pub sharded_sessions_opened: u64,
-    /// Per-shard plans compiled by sharded preparation (a 4-shard prepare
-    /// adds 4). Requests that fell back to a single-stream plan add nothing.
-    pub shards_prepared: u64,
 }
 
 impl ServiceMetrics {
     /// Number of entries [`ServiceMetrics::fields`] yields — the implicit
     /// schema of stats wire frames (guarded by
     /// [`crate::stats::STATS_VERSION`]: adding a field bumps the version).
-    pub const FIELD_COUNT: usize = 30;
+    pub const FIELD_COUNT: usize = 28;
 
     /// Every counter and gauge as `(name, value)`, in declaration order.
     /// This is the single source of the stats wire layout and the
@@ -237,8 +212,6 @@ impl ServiceMetrics {
             ("deltas_ingested", self.deltas_ingested),
             ("plans_refreshed", self.plans_refreshed),
             ("plans_recompiled", self.plans_recompiled),
-            ("sharded_sessions_opened", self.sharded_sessions_opened),
-            ("shards_prepared", self.shards_prepared),
         ]
     }
 
@@ -274,8 +247,6 @@ impl ServiceMetrics {
             deltas_ingested: values[25],
             plans_refreshed: values[26],
             plans_recompiled: values[27],
-            sharded_sessions_opened: values[28],
-            shards_prepared: values[29],
         }
     }
 }
@@ -365,107 +336,19 @@ pub const DEFAULT_ALGORITHM: AnyKAlgorithm = AnyKAlgorithm::Take2;
 /// never serve a plan compiled over different data.
 type PlanKey = (u64, String);
 
-/// A memoised compiled plan: the ordinary single-stream form, or the
-/// hash-partitioned sharded form ([`ShardedPreparedQuery`]) when the
-/// request — or [`ServiceConfig::shards`] — asked for more than one shard.
-#[derive(Clone)]
-enum PlanHandle {
-    Single(Arc<PreparedQuery>),
-    Sharded(Arc<ShardedPreparedQuery>),
-}
-
 /// One memoised plan plus its recency tick (atomic so cache hits can
 /// refresh recency under the read lock; used for LRU eviction).
 struct PlanEntry {
-    plan: PlanHandle,
+    plan: Arc<PreparedQuery>,
     /// The plan's spec, execution attributes stripped — kept so ingestion
     /// can recompile plans that cannot be delta-refreshed.
     spec: QuerySpec,
-    /// The shard count the entry was prepared under (1 = unsharded); kept
-    /// so ingestion recompiles to the same shape.
-    shards: usize,
     last_used: AtomicU64,
-}
-
-/// A session's resumable iterator: one cursor over a single-stream plan, or
-/// the ranked k-way merge over a sharded plan. Every forwarded method keeps
-/// the [`AnswerCursor`] contract — the merged stream is bit-identical to the
-/// unsharded stream — so the governance code above is shape-blind.
-enum SessionCursor {
-    Single(AnswerCursor),
-    Sharded(ShardedCursor),
-}
-
-impl SessionCursor {
-    fn served(&self) -> usize {
-        match self {
-            SessionCursor::Single(c) => c.served(),
-            SessionCursor::Sharded(c) => c.served(),
-        }
-    }
-
-    fn is_done(&self) -> bool {
-        match self {
-            SessionCursor::Single(c) => c.is_done(),
-            SessionCursor::Sharded(c) => c.is_done(),
-        }
-    }
-
-    fn algorithm(&self) -> AnyKAlgorithm {
-        match self {
-            SessionCursor::Single(c) => c.algorithm(),
-            SessionCursor::Sharded(c) => c.algorithm(),
-        }
-    }
-
-    fn cancel_token(&self) -> &CancellationToken {
-        match self {
-            SessionCursor::Single(c) => c.cancel_token(),
-            SessionCursor::Sharded(c) => c.cancel_token(),
-        }
-    }
-
-    fn is_cancelled(&self) -> bool {
-        match self {
-            SessionCursor::Single(c) => c.is_cancelled(),
-            SessionCursor::Sharded(c) => c.is_cancelled(),
-        }
-    }
-
-    /// Live MEM(k) footprint; a sharded cursor reports the sum over its
-    /// shard streams, so one governed budget covers both shapes.
-    fn memory_stats(&self) -> Option<anyk_core::MemoryStats> {
-        match self {
-            SessionCursor::Single(c) => c.memory_stats(),
-            SessionCursor::Sharded(c) => c.memory_stats(),
-        }
-    }
-
-    fn enable_recording(&mut self, clock: Arc<dyn Clock>, plan: Option<Arc<PlanObs>>) {
-        match self {
-            SessionCursor::Single(c) => c.enable_recording(clock, plan),
-            SessionCursor::Sharded(c) => c.enable_recording(clock, plan),
-        }
-    }
-
-    fn next_page_into(&mut self, page_size: usize, out: &mut Vec<Answer>) -> bool {
-        match self {
-            SessionCursor::Single(c) => c.next_page_into(page_size, out),
-            SessionCursor::Sharded(c) => c.next_page_into(page_size, out),
-        }
-    }
-
-    fn decoder(&self) -> AnswerDecoder {
-        match self {
-            SessionCursor::Single(c) => c.prepared().decoder(),
-            SessionCursor::Sharded(c) => c.prepared().decoder(),
-        }
-    }
 }
 
 /// A live session: the cursor plus its governance bookkeeping.
 struct ActiveSession {
-    cursor: SessionCursor,
+    cursor: AnswerCursor,
     /// The generation the session streams from. The `Arc` is the pin: a
     /// retired generation's accounting is released by its last pin dropping.
     snapshot: Arc<Snapshot>,
@@ -618,10 +501,6 @@ pub struct QueryService {
     /// Service-wide page latency distribution across all plans.
     page_hist: LatencyHistogram,
     session_event_capacity: usize,
-    /// Default shard count for new plans ([`ServiceConfig::shards`]).
-    default_shards: Option<usize>,
-    /// Bottom-up preprocessing thread budget ([`ServiceConfig::threads`]).
-    prepare_threads: Option<usize>,
 }
 
 /// A poisoned lock only means a panic elsewhere; the maps/sessions are
@@ -665,7 +544,7 @@ impl QueryService {
     }
 
     /// Build a service over an already-shared snapshot (e.g. several
-    /// services — future shards — over one database).
+    /// services over one database).
     ///
     /// The snapshot is **sealed** here: once a database is served, any
     /// remaining mutable handle that tries [`Database::add`] panics instead
@@ -707,8 +586,6 @@ impl QueryService {
             plan_obs: PlanRegistry::new(),
             page_hist: LatencyHistogram::new(),
             session_event_capacity: config.session_event_capacity,
-            default_shards: config.shards,
-            prepare_threads: config.threads,
         }
     }
 
@@ -747,7 +624,7 @@ impl QueryService {
 
     /// Cache lookup half of [`QueryService::prepare_spec`]: bump the LRU
     /// stamp and the hit counter iff `key` is resident.
-    fn cached_plan(&self, key: &PlanKey) -> Option<PlanHandle> {
+    fn cached_plan(&self, key: &PlanKey) -> Option<Arc<PreparedQuery>> {
         let plans = lock!(self.plans.read());
         let entry = plans.get(key)?;
         entry.last_used.store(
@@ -755,59 +632,7 @@ impl QueryService {
             Ordering::Relaxed,
         );
         self.governor.with(|s| s.plan_hits += 1);
-        Some(entry.plan.clone())
-    }
-
-    /// The shard count a request resolves to: the spec's `shards` clause,
-    /// else [`ServiceConfig::shards`], else 1 (unsharded).
-    fn effective_shards(&self, spec: &QuerySpec) -> usize {
-        spec.shards.or(self.default_shards).unwrap_or(1).max(1)
-    }
-
-    /// The plan-cache key text for `spec` at `shards`: sharded plans get a
-    /// `#shards=N` suffix so the same query sharded and unsharded are
-    /// distinct cache entries (and distinct per-plan distributions).
-    fn keyed(spec: &QuerySpec, shards: usize) -> String {
-        let base = spec.plan_key();
-        if shards > 1 {
-            format!("{base}#shards={shards}")
-        } else {
-            base
-        }
-    }
-
-    /// Compile `spec` (execution attributes already stripped) into a plan
-    /// handle: hash-partitioned with per-shard parallel preprocessing when
-    /// `shards > 1`, single-stream otherwise. Always compiled with delta
-    /// support so ingestion can refresh instead of recompiling. Queries the
-    /// partitioner cannot cover — selection predicates, self-joins — fall
-    /// back to the single-stream plan rather than failing the request.
-    fn compile_handle(
-        &self,
-        db: &Arc<Database>,
-        spec: &QuerySpec,
-        shards: usize,
-    ) -> Result<PlanHandle, EngineError> {
-        let options = PrepareOptions {
-            retain_delta: true,
-            threads: self.prepare_threads,
-        };
-        if shards > 1 {
-            match ShardedPreparedQuery::from_spec(Arc::clone(db), spec, shards, options) {
-                Ok(p) => {
-                    self.governor
-                        .with(|s| s.shards_prepared += p.shard_count() as u64);
-                    return Ok(PlanHandle::Sharded(Arc::new(p)));
-                }
-                Err(EngineError::ShardingUnsupported(_)) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(PlanHandle::Single(Arc::new(PreparedQuery::from_spec_opts(
-            Arc::clone(db),
-            spec,
-            options,
-        )?)))
+        Some(Arc::clone(&entry.plan))
     }
 
     /// Compile `spec` — selection predicates pushed down to filtered
@@ -827,25 +652,24 @@ impl QueryService {
     /// [`ServiceError::Panicked`], nothing is cached, and waiting threads
     /// retry the compile themselves.
     pub fn prepare_spec(&self, spec: &QuerySpec) -> Result<Arc<PreparedQuery>, ServiceError> {
-        match self.prepare_on(&self.current_snapshot(), spec, 1)? {
-            PlanHandle::Single(p) => Ok(p),
-            PlanHandle::Sharded(_) => unreachable!("shards == 1 never compiles sharded"),
-        }
+        let snap = self.current_snapshot();
+        let key = (snap.generation, spec.plan_key());
+        self.prepare_on(&snap, spec, &key)
     }
 
     /// [`QueryService::prepare_spec`] against an explicit snapshot — the
     /// open path captures the snapshot once so the plan, the session's pin,
     /// and the cache key all agree on the generation even if a rotation
-    /// lands mid-open. `shards > 1` compiles (and caches) the
-    /// hash-partitioned form under a `#shards=N`-suffixed key.
+    /// lands mid-open. `key` is `(snap.generation, spec.plan_key())`,
+    /// computed once by the caller (who also needs its text for the
+    /// session's observation block).
     fn prepare_on(
         &self,
         snap: &Arc<Snapshot>,
         spec: &QuerySpec,
-        shards: usize,
-    ) -> Result<PlanHandle, ServiceError> {
-        let key: PlanKey = (snap.generation, Self::keyed(spec, shards));
-        if let Some(plan) = self.cached_plan(&key) {
+        key: &PlanKey,
+    ) -> Result<Arc<PreparedQuery>, ServiceError> {
+        if let Some(plan) = self.cached_plan(key) {
             return Ok(plan);
         }
         let flight = Arc::clone(
@@ -856,22 +680,23 @@ impl QueryService {
         let _compiling = lock!(flight.lock());
         // Re-check under the flight lock: if another thread won the race,
         // its plan is in the cache by the time its flight lock releases.
-        if let Some(plan) = self.cached_plan(&key) {
+        if let Some(plan) = self.cached_plan(key) {
             return Ok(plan);
         }
         self.governor.with(|s| s.plan_misses += 1);
         // Compile with delta support so ingestion can carry the plan to the
         // next generation by patching its dirty cone instead of recompiling.
+        let stripped = spec.without_execution_attrs();
         let compiled = catch_panic("plan preparation", || {
-            self.compile_handle(&snap.db, &spec.without_execution_attrs(), shards)
+            PreparedQuery::from_spec_delta(Arc::clone(&snap.db), &stripped)
         })
         .and_then(|r| r.map_err(ServiceError::from));
         let prepared = match compiled {
-            Ok(p) => p,
+            Ok(p) => Arc::new(p),
             Err(e) => {
                 // Failed flight: retire it so late arrivals retry the
                 // compile themselves instead of waiting on a dead lock.
-                lock!(self.plan_flights.lock()).remove(&key);
+                lock!(self.plan_flights.lock()).remove(key);
                 return Err(e);
             }
         };
@@ -881,12 +706,11 @@ impl QueryService {
             let tick = self.plan_clock.fetch_add(1, Ordering::Relaxed) + 1;
             let entry = plans.entry(key.clone()).or_insert_with(|| PlanEntry {
                 plan: prepared,
-                spec: spec.without_execution_attrs(),
-                shards,
+                spec: stripped,
                 last_used: AtomicU64::new(0),
             });
             *entry.last_used.get_mut() = tick;
-            out = entry.plan.clone();
+            out = Arc::clone(&entry.plan);
             while plans.len() > self.plan_cache_capacity {
                 let victim = plans
                     .iter()
@@ -896,12 +720,21 @@ impl QueryService {
                 plans.remove(&victim);
                 self.governor.with(|s| s.plan_evictions += 1);
             }
+            // The per-plan observation registry is bounded like the cache:
+            // a miss that finds it full first retires every block whose key
+            // the cache has since evicted or dropped. Sessions still
+            // streaming such a plan keep recording into their own `Arc`;
+            // the block only leaves the scrape.
+            if self.plan_obs.len() >= self.plan_cache_capacity {
+                let cached: HashSet<&str> = plans.keys().map(|(_, k)| k.as_str()).collect();
+                self.plan_obs.retain(|k| cached.contains(k));
+            }
         }
         // Retire the flight only now that the plan is visible in the cache:
         // a late arrival either joins this flight (and re-checks the cache
         // once the lock releases) or misses the flight map entirely and
         // finds the cached plan directly.
-        lock!(self.plan_flights.lock()).remove(&key);
+        lock!(self.plan_flights.lock()).remove(key);
         Ok(out)
     }
 
@@ -977,22 +810,14 @@ impl QueryService {
             if entry_generation != old_generation {
                 continue;
             }
-            // Refresh in the entry's own shape: a sharded plan splits the
-            // batch by the shard hash and patches each shard's dirty cone.
-            let refreshed: Option<PlanHandle> = match &entry.plan {
-                PlanHandle::Single(p) if p.supports_refresh() => {
-                    catch_panic("plan refresh", || p.refresh(Arc::clone(new_db), batch))
-                        .ok()
-                        .and_then(Result::ok)
-                        .map(|p| PlanHandle::Single(Arc::new(p)))
-                }
-                PlanHandle::Sharded(p) if p.supports_refresh() => {
-                    catch_panic("plan refresh", || p.refresh(Arc::clone(new_db), batch))
-                        .ok()
-                        .and_then(Result::ok)
-                        .map(|p| PlanHandle::Sharded(Arc::new(p)))
-                }
-                _ => None,
+            let refreshed = if entry.plan.supports_refresh() {
+                catch_panic("plan refresh", || {
+                    entry.plan.refresh(Arc::clone(new_db), batch)
+                })
+                .ok()
+                .and_then(Result::ok)
+            } else {
+                None
             };
             let plan = match refreshed {
                 Some(p) => {
@@ -1001,7 +826,7 @@ impl QueryService {
                 }
                 None => {
                     let recompiled = catch_panic("plan recompile", || {
-                        self.compile_handle(new_db, &entry.spec, entry.shards)
+                        PreparedQuery::from_spec_delta(Arc::clone(new_db), &entry.spec)
                     });
                     match recompiled {
                         Ok(Ok(p)) => {
@@ -1015,9 +840,8 @@ impl QueryService {
             migrated.push((
                 (generation, key),
                 PlanEntry {
-                    plan,
+                    plan: Arc::new(plan),
                     spec: entry.spec,
-                    shards: entry.shards,
                     last_used: entry.last_used,
                 },
             ));
@@ -1042,14 +866,9 @@ impl QueryService {
         ranking: RankingFunction,
         algorithm: AnyKAlgorithm,
     ) -> Result<SessionId, ServiceError> {
-        catch_panic("session open", || {
-            self.admit_open()?;
-            let snap = self.current_snapshot();
-            let spec = QuerySpec::from_query(query, ranking);
-            let shards = self.effective_shards(&spec);
-            let prepared = self.prepare_on(&snap, &spec, shards)?;
-            self.install_session(snap, &prepared, algorithm, None, Self::keyed(&spec, shards))
-        })?
+        let mut spec = QuerySpec::from_query(query, ranking);
+        spec.algorithm = Some(algorithm);
+        self.open_session_spec(&spec)
     }
 
     /// Open a session straight from query-language text — the one entry
@@ -1073,16 +892,10 @@ impl QueryService {
         catch_panic("session open", || {
             self.admit_open()?;
             let snap = self.current_snapshot();
-            let shards = self.effective_shards(spec);
-            let prepared = self.prepare_on(&snap, spec, shards)?;
+            let key = (snap.generation, spec.plan_key());
+            let prepared = self.prepare_on(&snap, spec, &key)?;
             let algorithm = spec.algorithm.unwrap_or(DEFAULT_ALGORITHM);
-            self.install_session(
-                snap,
-                &prepared,
-                algorithm,
-                spec.limit,
-                Self::keyed(spec, shards),
-            )
+            self.install_session(snap, &prepared, algorithm, spec.limit, &key.1)
         })?
     }
 
@@ -1102,13 +915,7 @@ impl QueryService {
             // key so its sessions share a distribution with text/struct
             // opens of the same query.
             let key = QuerySpec::from_query(prepared.query(), prepared.ranking()).plan_key();
-            self.install_session(
-                self.current_snapshot(),
-                &PlanHandle::Single(Arc::clone(prepared)),
-                algorithm,
-                None,
-                key,
-            )
+            self.install_session(self.current_snapshot(), prepared, algorithm, None, &key)
         })?
     }
 
@@ -1124,24 +931,20 @@ impl QueryService {
     fn install_session(
         &self,
         snapshot: Arc<Snapshot>,
-        prepared: &PlanHandle,
+        prepared: &Arc<PreparedQuery>,
         algorithm: AnyKAlgorithm,
         limit: Option<usize>,
-        plan_key: String,
+        plan_key: &str,
     ) -> Result<SessionId, ServiceError> {
-        let mut cursor = catch_panic("cursor construction", || match prepared {
-            PlanHandle::Single(p) => SessionCursor::Single(p.cursor_with_limit(algorithm, limit)),
-            PlanHandle::Sharded(p) => SessionCursor::Sharded(p.cursor_with_limit(algorithm, limit)),
+        let mut cursor = catch_panic("cursor construction", || {
+            prepared.cursor_with_limit(algorithm, limit)
         })?;
         let units = self.charge_for(&cursor);
         // Cap + budget re-checked and gauges bumped in one critical
         // section; a shed here drops the cursor before it served anything.
         self.governor.commit_session(units)?;
-        if matches!(prepared, PlanHandle::Sharded(_)) {
-            self.governor.with(|s| s.sharded_sessions_opened += 1);
-        }
         let now = self.clock.now_nanos();
-        let obs = self.plan_obs.handle(&plan_key);
+        let obs = self.plan_obs.handle(plan_key);
         // Re-arm the cursor's delay recorder on the *service's* clock and
         // plan sink (its default recorder measures against a private
         // monotonic clock and flushes nowhere).
@@ -1170,7 +973,7 @@ impl QueryService {
     /// MEM(k) units to charge for `cursor`'s current footprint: the live
     /// count of entries in its enumeration structures, or the configured
     /// flat rate for algorithms that cannot report one (Recursive, Batch).
-    fn charge_for(&self, cursor: &SessionCursor) -> u64 {
+    fn charge_for(&self, cursor: &AnswerCursor) -> u64 {
         cursor
             .memory_stats()
             .map(|m| m.resident_units())
@@ -1443,7 +1246,7 @@ impl QueryService {
         let slot = self.session(id)?;
         let guard = lock!(slot.inner.lock());
         match &guard.state {
-            SlotState::Active(a) => Ok(a.cursor.decoder()),
+            SlotState::Active(a) => Ok(a.cursor.prepared().decoder()),
             SlotState::Ended { end, .. } => Err(end.error(id)),
         }
     }
@@ -1525,8 +1328,6 @@ impl QueryService {
             deltas_ingested: s.deltas_ingested,
             plans_refreshed: s.plans_refreshed,
             plans_recompiled: s.plans_recompiled,
-            sharded_sessions_opened: s.sharded_sessions_opened,
-            shards_prepared: s.shards_prepared,
         }
     }
 
@@ -1797,6 +1598,51 @@ mod tests {
     }
 
     #[test]
+    fn plan_observations_are_bounded_like_the_plan_cache() {
+        const CAPACITY: usize = 4;
+        let service = QueryService::with_config(
+            path_db(),
+            ServiceConfig {
+                plan_cache_capacity: CAPACITY,
+                ..ServiceConfig::default()
+            },
+        );
+        // A client that varies a filter constant: every request is a new
+        // plan key. The sessions stay open across their plan's eviction.
+        for c in 0..3 * CAPACITY {
+            let id = service
+                .open_session_text(&format!("Q(x, y, z) :- R1(x, y), R2(y, z), x = {c}"))
+                .unwrap();
+            service.next_page(id, 10).unwrap();
+        }
+        let stats = service.stats_snapshot();
+        assert_eq!(service.prepared_count(), CAPACITY);
+        assert!(
+            stats.plans.len() <= CAPACITY,
+            "{} blocks",
+            stats.plans.len()
+        );
+        // The newest key is among the survivors, with its page recorded.
+        let newest = QuerySpec::parse(&format!(
+            "Q(x, y, z) :- R1(x, y), R2(y, z), x = {}",
+            3 * CAPACITY - 1
+        ))
+        .unwrap()
+        .plan_key();
+        let (_, newest) = stats.plans.iter().find(|(k, _)| *k == newest).unwrap();
+        assert_eq!(newest.page.count, 1);
+        // And the Stats frame built from it survives its own decoder.
+        use crate::net::protocol::{encode_response, Response};
+        let (mut frame, mut payload) = (Vec::new(), Vec::new());
+        let response = Response::Stats(Box::new(stats.clone()));
+        encode_response(&mut frame, &mut payload, &response);
+        match Response::decode(response.status() as u8, &payload) {
+            Ok(Response::Stats(back)) => assert_eq!(*back, stats),
+            other => panic!("decoded {other:?}"),
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "already-shared")]
     fn over_rejects_an_unappliable_index_cache_bound() {
         let db = Arc::new(path_db());
@@ -1881,6 +1727,14 @@ mod tests {
         let err = service.open_session_text("Q(x :- R1(x, y)").unwrap_err();
         assert!(matches!(err, ServiceError::Parse(_)));
         assert!(err.to_string().contains("parse error"));
+        // The removed `shards` clause is such an error, refused before
+        // admission or the plan cache see the request.
+        let before = service.metrics();
+        let err = service
+            .open_session_text("Q(x, y, z) :- R1(x, y), R2(y, z) shards 2")
+            .unwrap_err();
+        assert!(matches!(err, ServiceError::Parse(_)));
+        assert_eq!(service.metrics(), before);
         // Valid syntax, unknown relation: an engine error, still typed.
         let err = service
             .open_session_text("Q(x, y) :- Nope(x, y)")
@@ -2141,117 +1995,6 @@ mod tests {
         assert_eq!(service.metrics().plan_misses, 1, "no recompilation");
         let page = service.next_page(id, 100).unwrap();
         assert_eq!(page.answers.len(), 4);
-    }
-
-    #[test]
-    fn sharded_sessions_stream_bit_identically_and_count_in_metrics() {
-        let service = QueryService::new(path_db());
-        let query = QueryBuilder::path(2).build();
-        let baseline: Vec<Answer> = service
-            .prepare(&query, RankingFunction::SumAscending)
-            .unwrap()
-            .enumerate(AnyKAlgorithm::Take2)
-            .collect();
-
-        let id = service
-            .open_session_text("Q(x, y, z) :- R1(x, y), R2(y, z) shards 2")
-            .unwrap();
-        let mut got = Vec::new();
-        loop {
-            let page = service.next_page(id, 1).unwrap();
-            got.extend(page.answers);
-            if page.done {
-                break;
-            }
-        }
-        assert_eq!(got, baseline, "merged shard stream ≡ unsharded stream");
-
-        let m = service.metrics();
-        assert_eq!(m.sharded_sessions_opened, 1);
-        assert_eq!(m.shards_prepared, 2);
-        assert!(m.mem_resident_units == 0 || m.answers_served > 0);
-        // Sharded and unsharded plans are distinct cache entries.
-        assert_eq!(service.prepared_count(), 2);
-        service
-            .open_session_text("Q(a, b, c) :- R1(a, b), R2(b, c) shards 2")
-            .unwrap();
-        assert_eq!(service.prepared_count(), 2, "alpha-renamed shard hit");
-        assert_eq!(service.metrics().sharded_sessions_opened, 2);
-        assert_eq!(service.metrics().shards_prepared, 2, "plan was cached");
-    }
-
-    #[test]
-    fn config_default_shards_apply_and_unsupported_queries_fall_back() {
-        let service = QueryService::with_config(
-            path_db(),
-            ServiceConfig {
-                shards: Some(2),
-                threads: Some(1),
-                ..ServiceConfig::default()
-            },
-        );
-        // A plain join shards by default...
-        let query = QueryBuilder::path(2).build();
-        let id = service.open_session(&query, AnyKAlgorithm::Lazy).unwrap();
-        assert_eq!(service.next_page(id, 100).unwrap().answers.len(), 3);
-        assert_eq!(service.metrics().sharded_sessions_opened, 1);
-        // ...a predicate query cannot be partitioned and silently falls
-        // back to the single-stream plan, still serving correct answers.
-        let id = service
-            .open_session_text("Q(x, y, z) :- R1(x, y), R2(y, z), x = 2")
-            .unwrap();
-        let page = service.next_page(id, 100).unwrap();
-        assert_eq!(page.answers.len(), 1);
-        assert_eq!(page.answers[0].values(), &[2, 20, 6]);
-        let m = service.metrics();
-        assert_eq!(m.sharded_sessions_opened, 1, "fallback session is single");
-        assert_eq!(m.shards_prepared, 2, "only the shardable plan");
-        // A spec-level `shards 1` overrides the service default downward.
-        service
-            .open_session_text("Q(x, y, z) :- R1(x, y), R2(y, z) shards 1")
-            .unwrap();
-        assert_eq!(service.metrics().sharded_sessions_opened, 1);
-    }
-
-    #[test]
-    fn ingest_refreshes_sharded_plans_and_streams_match_rebuild() {
-        let service = QueryService::with_config(
-            path_db(),
-            ServiceConfig {
-                shards: Some(2),
-                ..ServiceConfig::default()
-            },
-        );
-        let query = QueryBuilder::path(2).build();
-        let before = service.open_session(&query, AnyKAlgorithm::Take2).unwrap();
-        service.next_page(before, 1).unwrap();
-
-        service.ingest(&path_delta()).unwrap();
-        let m = service.metrics();
-        assert_eq!(m.plans_refreshed, 1, "sharded plan was patched in place");
-        assert_eq!(m.plans_recompiled, 0);
-
-        // The pinned pre-ingest session still streams generation 0.
-        let mut old = Vec::new();
-        loop {
-            let page = service.next_page(before, 10).unwrap();
-            old.extend(page.answers);
-            if page.done {
-                break;
-            }
-        }
-        assert_eq!(old.len() + 1, 3, "generation-0 stream intact");
-
-        // A post-ingest sharded session matches a from-scratch rebuild.
-        let id = service.open_session(&query, AnyKAlgorithm::Take2).unwrap();
-        assert_eq!(service.metrics().plan_misses, 1, "refresh kept the cache");
-        let fresh = service.next_page(id, 100).unwrap().answers;
-        let rebuilt: Vec<Answer> = QueryService::new(path_db().apply_delta(&path_delta()).unwrap())
-            .prepare(&query, RankingFunction::SumAscending)
-            .unwrap()
-            .enumerate(AnyKAlgorithm::Take2)
-            .collect();
-        assert_eq!(fresh, rebuilt, "refreshed shard merge ≡ rebuild");
     }
 
     #[test]

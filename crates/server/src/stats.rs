@@ -15,7 +15,7 @@ use anyk_obs::{HistogramSummary, PhaseSnapshot, PlanSummaries};
 
 /// Layout version of [`StatsSnapshot`] (bumped whenever a field is added,
 /// removed, or reordered — including [`ServiceMetrics::fields`] entries).
-pub const STATS_VERSION: u32 = 2;
+pub const STATS_VERSION: u32 = 3;
 
 /// One consistent scrape of the service's observability surface: counters,
 /// phase timings, and latency distributions in one versioned bundle.
@@ -153,7 +153,7 @@ mod tests {
     #[test]
     fn prometheus_rendering_covers_every_section() {
         let text = sample().render_prometheus();
-        assert!(text.contains("anyk_stats_version 2"));
+        assert!(text.contains(&format!("anyk_stats_version {STATS_VERSION}")));
         assert!(text.contains("anyk_generation 7"));
         assert!(text.contains("# TYPE anyk_sessions_opened counter"));
         assert!(text.contains("anyk_sessions_opened 3"));

@@ -95,10 +95,9 @@ fn assert_metrics_consistent(service: &QueryService) {
     assert_eq!(m.pages_in_flight, 0, "all page permits returned");
 }
 
-/// Sites that opening and paging an unsharded session never reach: plan
-/// migration during `ingest` (and, for `engine.shard`, sharded plans). The
-/// `ingest_survives_*` cases below drive them.
-const INGEST_PATH_SITES: [&str; 3] = ["core.patch", "engine.refresh", "engine.shard"];
+/// Sites that opening and paging a session never reach: plan migration
+/// during `ingest`. The `ingest_survives_*` cases below drive them.
+const INGEST_PATH_SITES: [&str; 2] = ["core.patch", "engine.refresh"];
 
 /// Every failpoint site, under both actions, is contained to a typed error
 /// — and the service is fully healthy the moment the plan disarms.
@@ -493,8 +492,7 @@ fn drain(service: &QueryService, id: SessionId, mut got: Vec<Answer>) -> Vec<Ans
     }
 }
 
-/// One ingest with `site` armed (`also` arms a second site that must fail
-/// for `site` to be reached at all), under both actions.
+/// One ingest with `site` armed, under both actions.
 ///
 /// The fault lands inside plan migration, which by design never fails an
 /// ingest: a plan that cannot be refreshed is recompiled, one that cannot
@@ -508,24 +506,18 @@ fn drain(service: &QueryService, id: SessionId, mut got: Vec<Answer>) -> Vec<Ans
 /// checks that while the plan is still armed.
 fn ingest_survives(
     site: &'static str,
-    also: Option<&'static str>,
-    shards: Option<usize>,
     migrated: impl Fn(&ServiceMetrics) -> bool,
     typed_probe: impl Fn(&QueryService, bool),
 ) {
     let _serial = serial();
     quiet_injected_panics();
     assert!(SITES.contains(&site), "{site} is registered");
-    let config = || ServiceConfig {
-        shards,
-        ..ServiceConfig::default()
-    };
     let text = format!("{WIDE_QUERY} via take2");
     for panic_action in [false, true] {
         let mut shadow = wide_path_db(41);
-        let service = QueryService::with_config(shadow.clone(), config());
+        let service = QueryService::new(shadow.clone());
         let before = {
-            let oracle = QueryService::with_config(shadow.clone(), config());
+            let oracle = QueryService::new(shadow.clone());
             drain(
                 &oracle,
                 oracle.open_session_text(&text).unwrap(),
@@ -537,14 +529,11 @@ fn ingest_survives(
 
         let batch = random_batch(&shadow, &mut SmallRng::seed_from_u64(0xFA17));
         shadow = shadow.apply_delta(&batch).unwrap();
-        let mut plan = FaultPlan::new();
-        for s in [Some(site), also].into_iter().flatten() {
-            plan = if panic_action {
-                plan.panic(s, Trigger::Always)
-            } else {
-                plan.error(s, Trigger::Always)
-            };
-        }
+        let plan = if panic_action {
+            FaultPlan::new().panic(site, Trigger::Always)
+        } else {
+            FaultPlan::new().error(site, Trigger::Always)
+        };
         let guard = faults::install(plan);
         assert_eq!(
             service.ingest(&batch).unwrap(),
@@ -565,7 +554,7 @@ fn ingest_survives(
         );
         let fresh = service.open_session_text(&text).unwrap();
         let after = drain(&service, fresh, Vec::new());
-        let rebuilt = QueryService::with_config(shadow.clone(), config());
+        let rebuilt = QueryService::new(shadow.clone());
         assert_eq!(
             after,
             drain(
@@ -590,8 +579,6 @@ fn ingest_survives(
 fn ingest_survives_a_fault_at_engine_refresh() {
     ingest_survives(
         "engine.refresh",
-        None,
-        None,
         |m| m.plans_recompiled == 1,
         |service, panic_action| {
             // The same call the migration made, made directly.
@@ -614,39 +601,7 @@ fn ingest_survives_a_fault_at_engine_refresh() {
 /// caught around the refresh and the service recompiles instead.
 #[test]
 fn ingest_survives_a_fault_at_core_patch() {
-    ingest_survives(
-        "core.patch",
-        None,
-        None,
-        |m| m.plans_recompiled == 1,
-        |_, _| {},
-    );
-}
-
-/// `engine.shard` (fallible) guards the *build* of a sharded plan, which an
-/// ingest reaches only when the per-shard refresh failed first. With both
-/// down the plan is dropped; opening it while still armed fails typed, and
-/// once disarmed it is compiled again on demand.
-#[test]
-fn ingest_survives_a_fault_at_engine_shard() {
-    ingest_survives(
-        "engine.shard",
-        Some("engine.refresh"),
-        Some(2),
-        |m| m.plans_recompiled == 0,
-        |service, panic_action| {
-            let err = service
-                .open_session_text(&format!("{WIDE_QUERY} via take2"))
-                .unwrap_err();
-            match (err, panic_action) {
-                (ServiceError::Fault(i), false) => assert_eq!(i.site, "engine.shard"),
-                (ServiceError::Panicked { context }, true) => {
-                    assert!(context.contains("engine.shard"), "{context}")
-                }
-                (other, _) => panic!("engine.shard: unexpected {other}"),
-            }
-        },
-    );
+    ingest_survives("core.patch", |m| m.plans_recompiled == 1, |_, _| {});
 }
 
 /// Rotation + ingestion under concurrency: each round opens 8 paging

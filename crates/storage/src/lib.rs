@@ -22,11 +22,6 @@
 //!   relation is replaced; snapshots can be **sealed** against mutation and
 //!   advanced copy-on-write via [`delta`] batches
 //!   ([`Database::apply_delta`]), which bump a monotone generation id;
-//! * [`shard`] — hash partitioning: [`ShardSpec`] routes tuples by a
-//!   deterministic hash of their join-key columns and
-//!   [`Database::partition`] splits a snapshot into co-partitioned,
-//!   dictionary-sharing shard databases (replicating unlisted relations),
-//!   with [`ShardSpec::split_batch`] routing delta batches the same way;
 //! * [`HashIndex`] — the linear-time-buildable, constant-time-lookup join
 //!   index assumed by the cost model of §2.3, built by sequential column
 //!   scans;
@@ -42,7 +37,6 @@ pub mod dictionary;
 mod index;
 pub mod index_cache;
 mod relation;
-pub mod shard;
 pub mod stats;
 mod tuple;
 
@@ -52,5 +46,4 @@ pub use dictionary::{ColumnType, Dictionary, Field, Schema};
 pub use index::HashIndex;
 pub use index_cache::{IndexCacheStats, DEFAULT_INDEX_CACHE_CAPACITY};
 pub use relation::{Relation, RowRef};
-pub use shard::{ShardError, ShardSpec};
 pub use tuple::{Tuple, TupleId, Value};
