@@ -46,8 +46,7 @@
 //! measured on the pre-refactor tree), its contents are embedded verbatim
 //! under the `"baseline"` key for side-by-side comparison.
 //!
-//! Run with `ANYK_SCALE=quick` for a CI smoke pass (sub-second inputs); set
-//! `ANYK_THREADS` to pin the bottom-up worker count (1 = serial sweep).
+//! Run with `ANYK_SCALE=quick` for a CI smoke pass (sub-second inputs).
 
 use anyk_bench::Scale;
 use anyk_core::metrics::EnumerationTrace;
@@ -689,10 +688,6 @@ fn main() {
     let _ = writeln!(json, "  \"scale\": \"{scale:?}\",");
     let _ = writeln!(json, "  \"limit\": {LIMIT},");
     let _ = writeln!(json, "  \"repeats\": {REPEATS},");
-    // Record the worker count actually used by the bottom-up sweep — the
-    // core's own resolution, as a number, never raw env text.
-    let threads = anyk_core::tdp::default_bottom_up_threads();
-    let _ = writeln!(json, "  \"anyk_threads\": {threads},");
     json.push_str("  \"workloads\": [\n");
 
     let all_workloads = workloads(scale);

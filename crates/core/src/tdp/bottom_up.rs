@@ -8,159 +8,99 @@
 //!   completion of the whole subtree below `s`.
 //!
 //! States with `π₁(s) = 0̄` cannot participate in any solution and are
-//! treated as pruned by all enumeration algorithms (they are skipped by
-//! [`TdpInstance::choices`]). This is the semi-join–style reduction that the
-//! paper identifies with Yannakakis' algorithm on the Boolean semiring (§3).
+//! compacted out of every successor list afterwards ([`compact`]), so the
+//! enumeration algorithms never see them. This is the semi-join–style
+//! reduction that the paper identifies with Yannakakis' algorithm on the
+//! Boolean semiring (§3).
 //!
-//! ## Parallel sweep
-//!
-//! Within one stage the per-state computations are independent: state `s`
-//! reads only `π₁` of states in **child** stages (finalised in an earlier
-//! pass) and writes only its own `subtree_opt[s]` and `branch_opt` slots
-//! (disjoint per state, because slot ids partition by node). The sweep of a
-//! large stage is therefore chunked across a scoped worker pool
-//! (`std::thread::scope`, no external dependencies). The result is
-//! **bit-identical** to the serial sweep: each state's value is computed by
-//! the same arithmetic over the same operands regardless of which worker runs
-//! it. The pool size defaults to the machine's available parallelism and can
-//! be overridden with the `ANYK_THREADS` environment variable (or per call
-//! via [`crate::tdp::TdpBuilder::build_with_threads`]).
+//! [`eval_state`] and [`compact`] are the only copies of this arithmetic:
+//! [`crate::tdp::TdpBuilder::build`] runs them over every state, and
+//! [`crate::tdp::apply_patch`] over the dirty cone of a patch, which is why a
+//! patched instance is bit-identical to a rebuilt one.
 
-use super::{NodeId, StageId, TdpInstance};
+use super::{Node, NodeId, TdpInstance};
 use crate::dioid::Dioid;
 
-/// Stages smaller than this are swept serially even when a worker pool is
-/// available: below it, thread spawn/join overhead dominates the sweep.
-const PAR_MIN_STAGE: usize = 4096;
-
-/// The bottom-up worker count: `ANYK_THREADS` if set (values < 1 clamp to 1),
-/// else the machine's available parallelism.
-pub(crate) fn threads_from_env() -> usize {
-    threads_from_value(std::env::var("ANYK_THREADS").ok().as_deref())
-}
-
-/// Resolve a worker count from an `ANYK_THREADS`-style setting (split out of
-/// [`threads_from_env`] so the clamp itself is unit-testable).
-pub(crate) fn threads_from_value(setting: Option<&str>) -> usize {
-    match setting.and_then(|s| s.trim().parse::<usize>().ok()) {
-        Some(n) => n.max(1),
-        None => std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1),
-    }
-}
-
-/// Raw shared view of the two output buffers, passed to worker threads.
+/// Evaluate one state over the successor CSR `offsets`/`data`: write the
+/// `num_slots` values `branch[first_slot..]` (`⊕` over each successor row,
+/// skipping targets with `π₁ = 0̄`) and return their `⊗` in slot order, the
+/// state's new `π₁`. Every `subtree` entry a row points at must be final.
 ///
-/// Safety contract (upheld by [`run_with_threads`]): workers of one stage
-/// write disjoint node/slot ranges (each node belongs to exactly one chunk;
-/// slot ids are contiguous per node) and read only entries written in
-/// *previous* stage passes, after all of that pass's workers joined.
-struct Outputs<V> {
-    subtree: *mut V,
-    branch: *mut V,
-}
-
-impl<V> Clone for Outputs<V> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<V> Copy for Outputs<V> {}
-
-// The raw pointers alias a buffer that is only accessed per the disjointness
-// contract above; V: Send + Sync is guaranteed by the `Dioid::V` bounds.
-unsafe impl<V: Send + Sync> Send for Outputs<V> {}
-unsafe impl<V: Send + Sync> Sync for Outputs<V> {}
-
-/// Compute `subtree_opt[nid]` and the `branch_opt` slots of `nid`.
-///
-/// # Safety
-/// `out` must point to buffers of `num_nodes` / `num_slot_ids` initialised
-/// values; no other thread may concurrently access `nid`'s entries, and the
-/// `subtree` entries of `nid`'s successors must already be finalised.
-unsafe fn eval_node<D: Dioid>(
-    instance: &TdpInstance<D>,
-    out: Outputs<D::V>,
-    nid: NodeId,
+/// `⊕` is selective, so the order of a row does not change the result; the
+/// `⊗` fold order is fixed by the stage tree.
+pub(super) fn eval_state<D: Dioid>(
+    nodes: &[Node<D::V>],
+    offsets: &[u32],
+    data: &[NodeId],
+    subtree: &[D::V],
+    branch: &mut [D::V],
+    first_slot: usize,
     num_slots: usize,
-) {
+) -> D::V {
     let zero = D::zero();
     let mut total = D::one();
-    let first_slot = instance.slot_offsets[nid.index()] as usize;
-    for off in 0..num_slots {
-        let d = first_slot + off;
-        let start = instance.succ_offsets[d] as usize;
-        let end = instance.succ_offsets[d + 1] as usize;
+    for d in first_slot..first_slot + num_slots {
         let mut best = D::zero();
-        for &t in &instance.succ_data[start..end] {
-            let sub = &*out.subtree.add(t.index());
+        for &t in &data[offsets[d] as usize..offsets[d + 1] as usize] {
+            let sub = &subtree[t.index()];
             if *sub == zero {
                 continue;
             }
-            let value = D::times(&instance.nodes[t.index()].weight, sub);
-            best = D::plus(&best, &value);
+            best = D::plus(&best, &D::times(&nodes[t.index()].weight, sub));
         }
         total = D::times(&total, &best);
-        *out.branch.add(d) = best;
+        branch[d] = best;
     }
-    *out.subtree.add(nid.index()) = total;
+    total
 }
 
-/// Run the bottom-up phase in place, filling `subtree_opt` and `branch_opt`
-/// (the latter keyed by dense slot id, matching the successor CSR), with an
-/// explicit worker count (`threads <= 1` means a plain serial sweep). Output
-/// is bit-identical for every count.
-pub(crate) fn run_with_threads<D: Dioid>(instance: &mut TdpInstance<D>, threads: usize) {
-    crate::faults::checkpoint("core.bottom_up");
-    let _span = anyk_obs::phase::span(anyk_obs::Phase::BottomUp);
-    let num_nodes = instance.nodes.len();
-    let mut subtree_opt = vec![D::zero(); num_nodes];
-    let mut branch_opt: Vec<D::V> = vec![D::zero(); instance.num_slot_ids()];
-    let out = Outputs {
-        subtree: subtree_opt.as_mut_ptr(),
-        branch: branch_opt.as_mut_ptr(),
-    };
-
-    // Children-first traversal: reverse serial order, then the root stage.
-    let stage_order: Vec<StageId> = instance
-        .serial_order
-        .iter()
-        .rev()
-        .copied()
-        .chain(std::iter::once(StageId::ROOT))
-        .collect();
-
-    for sid in stage_order {
-        let stage = &instance.stages[sid.index()];
-        let nodes = &stage.nodes;
-        let num_slots = stage.children.len();
-        let workers = threads.min(nodes.len() / PAR_MIN_STAGE + 1);
-        if workers <= 1 {
-            for &nid in nodes {
-                // SAFETY: single-threaded sweep; successors live in child
-                // stages, finalised by an earlier loop iteration.
-                unsafe { eval_node(instance, out, nid, num_slots) };
+/// Copy the successor CSR `offsets`/`data` without the rows of states that
+/// are not `live` and without edges into them, returning the new offsets and
+/// lists. `slot_offsets` maps each state to its slot ids, as on
+/// [`TdpInstance`]; slot ids keep their numbering.
+pub(super) fn compact(
+    slot_offsets: &[u32],
+    offsets: &[u32],
+    data: &[NodeId],
+    live: &[bool],
+) -> (Vec<u32>, Vec<NodeId>) {
+    let mut new_offsets: Vec<u32> = Vec::with_capacity(offsets.len());
+    new_offsets.push(0);
+    let mut new_data: Vec<NodeId> = Vec::with_capacity(data.len());
+    for (n, &keep_owner) in live.iter().enumerate() {
+        for d in slot_offsets[n] as usize..slot_offsets[n + 1] as usize {
+            if keep_owner {
+                let row = &data[offsets[d] as usize..offsets[d + 1] as usize];
+                new_data.extend(row.iter().filter(|t| live[t.index()]));
             }
-        } else {
-            let chunk_len = nodes.len().div_ceil(workers);
-            // SAFETY: chunks partition `stage.nodes`, every node belongs to
-            // exactly one stage, and slot ids are contiguous per node — so
-            // workers write disjoint entries; reads target child-stage
-            // entries finalised before this scope started.
-            std::thread::scope(|scope| {
-                for chunk in nodes.chunks(chunk_len) {
-                    let inst = &*instance;
-                    scope.spawn(move || {
-                        for &nid in chunk {
-                            unsafe { eval_node(inst, out, nid, num_slots) };
-                        }
-                    });
-                }
-            });
+            new_offsets.push(new_data.len() as u32);
         }
     }
+    new_data.shrink_to_fit();
+    (new_offsets, new_data)
+}
 
+/// Run the bottom-up phase over the instance's (uncompacted) successor CSR,
+/// filling `subtree_opt` and `branch_opt` (the latter keyed by dense slot id).
+pub(crate) fn run<D: Dioid>(instance: &mut TdpInstance<D>) {
+    crate::faults::checkpoint("core.bottom_up");
+    let _span = anyk_obs::phase::span(anyk_obs::Phase::BottomUp);
+    let mut subtree_opt = vec![D::zero(); instance.nodes.len()];
+    let mut branch_opt: Vec<D::V> = vec![D::zero(); instance.num_slot_ids()];
+    for sid in instance.stages_children_first() {
+        let stage = &instance.stages[sid.index()];
+        for &nid in &stage.nodes {
+            subtree_opt[nid.index()] = eval_state::<D>(
+                &instance.nodes,
+                &instance.succ_offsets,
+                &instance.succ_data,
+                &subtree_opt,
+                &mut branch_opt,
+                instance.slot_offsets[nid.index()] as usize,
+                stage.children.len(),
+            );
+        }
+    }
     instance.subtree_opt = subtree_opt;
     instance.branch_opt = branch_opt;
 }
@@ -273,17 +213,5 @@ mod tests {
         assert_eq!(*inst.branch_opt(c, 1), OrderedF64::from(5.0));
         assert_eq!(*inst.subtree_opt(c), OrderedF64::from(6.0));
         assert_eq!(*inst.optimum(), OrderedF64::from(6.0));
-    }
-
-    #[test]
-    fn threads_setting_parses_and_clamps() {
-        // The clamp itself: 0 must never yield 0 workers.
-        assert_eq!(threads_from_value(Some("0")), 1);
-        assert_eq!(threads_from_value(Some("1")), 1);
-        assert_eq!(threads_from_value(Some("8")), 8);
-        assert_eq!(threads_from_value(Some(" 3 ")), 3, "whitespace trimmed");
-        // Garbage and absence both fall back to available parallelism (>= 1).
-        assert!(threads_from_value(Some("lots")) >= 1);
-        assert!(threads_from_value(None) >= 1);
     }
 }

@@ -187,34 +187,30 @@ impl<D: Dioid> TdpBuilder<D> {
     }
 
     /// Freeze the instance: flatten the adjacency into CSR, compute the
-    /// serial stage order, run the DP bottom-up phase (pruning + `π₁`), and
-    /// compact pruned states out of every successor list.
-    ///
-    /// The bottom-up phase sweeps large stages with a scoped worker pool
-    /// sized by the `ANYK_THREADS` environment variable (default: available
-    /// parallelism); see [`TdpBuilder::build_with_threads`] for an explicit
-    /// count. The result is bit-identical for every worker count.
+    /// serial stage order, run the DP bottom-up phase (pruning + `π₁`, one
+    /// serial pass of `bottom_up::eval_state` per state), and compact pruned
+    /// states out of every successor list (`bottom_up::compact`).
+    /// [`crate::tdp::apply_patch`] runs the same two functions.
     pub fn build(self) -> TdpInstance<D> {
-        self.build_with_threads(bottom_up::threads_from_env())
-    }
-
-    /// Like [`TdpBuilder::build`] with an explicit bottom-up worker count
-    /// (`threads <= 1` forces the serial sweep), independent of the
-    /// environment. Useful for deterministic testing of the parallel sweep.
-    pub fn build_with_threads(self, threads: usize) -> TdpInstance<D> {
-        let serial_order = serialise_stages(&self.stages);
-        let parent_pos = compute_parent_positions(&self.stages, &serial_order);
-        let pending = compute_pending_branches(&self.stages, &serial_order, &parent_pos);
+        let TdpBuilder {
+            stages,
+            nodes,
+            edges,
+            retain_topology,
+        } = self;
+        let serial_order = serialise_stages(&stages);
+        let parent_pos = compute_parent_positions(&stages, &serial_order);
+        let pending = compute_pending_branches(&stages, &serial_order, &parent_pos);
 
         // Assign dense slot ids: one consecutive id per (node, child stage of
         // its stage) pair. The CSR always reserves one slot id per child
         // stage, including slots no decision ever targeted.
-        let num_nodes = self.nodes.len();
+        let num_nodes = nodes.len();
         let mut slot_offsets: Vec<u32> = Vec::with_capacity(num_nodes + 1);
         let mut total_slots = 0usize;
-        for node in &self.nodes {
+        for node in &nodes {
             slot_offsets.push(total_slots as u32);
-            total_slots += self.stages[node.stage.index()].children.len();
+            total_slots += stages[node.stage.index()].children.len();
         }
         assert!(
             total_slots <= u32::MAX as usize,
@@ -222,7 +218,7 @@ impl<D: Dioid> TdpBuilder<D> {
         );
         slot_offsets.push(total_slots as u32);
 
-        let total_edges = self.edges.len();
+        let total_edges = edges.len();
         assert!(
             total_edges <= u32::MAX as usize,
             "T-DP instance exceeds u32 successor-offset space ({total_edges} decisions)"
@@ -231,7 +227,7 @@ impl<D: Dioid> TdpBuilder<D> {
         // count per slot id, prefix-sum, then scatter in insertion order
         // (stable, so each successor list keeps its insertion order).
         let mut succ_offsets: Vec<u32> = vec![0; total_slots + 1];
-        for &(parent, slot, _) in &self.edges {
+        for &(parent, slot, _) in &edges {
             let d = slot_offsets[parent.index()] as usize + slot as usize;
             succ_offsets[d + 1] += 1;
         }
@@ -240,17 +236,20 @@ impl<D: Dioid> TdpBuilder<D> {
         }
         let mut succ_data: Vec<NodeId> = vec![NodeId::ROOT; total_edges];
         let mut cursor: Vec<u32> = succ_offsets[..total_slots].to_vec();
-        for &(parent, slot, child) in &self.edges {
+        for &(parent, slot, child) in &edges {
             let d = slot_offsets[parent.index()] as usize + slot as usize;
             succ_data[cursor[d] as usize] = child;
             cursor[d] += 1;
         }
+        // The decision list is three times the CSR's size; free it before
+        // compaction allocates the compacted lists.
         drop(cursor);
+        drop(edges);
 
-        let root_slots = self.stages[StageId::ROOT.index()].children.len();
+        let root_slots = stages[StageId::ROOT.index()].children.len();
         let mut instance = TdpInstance {
-            stages: self.stages,
-            nodes: self.nodes,
+            stages,
+            nodes,
             slot_offsets,
             succ_offsets,
             succ_data,
@@ -262,55 +261,28 @@ impl<D: Dioid> TdpBuilder<D> {
             retained: None,
             root_cache: RootCache::new(root_slots),
         };
-        bottom_up::run_with_threads(&mut instance, threads);
-        if self.retain_topology {
-            // Snapshot the full CSR before compaction destroys edges into
-            // pruned states — apply_patch needs them to revive such states.
+        bottom_up::run(&mut instance);
+        let zero = D::zero();
+        let live: Vec<bool> = instance.subtree_opt.iter().map(|v| *v != zero).collect();
+        let (offsets, data) = bottom_up::compact(
+            &instance.slot_offsets,
+            &instance.succ_offsets,
+            &instance.succ_data,
+            &live,
+        );
+        let full_offsets = std::mem::replace(&mut instance.succ_offsets, offsets);
+        let full_data = std::mem::replace(&mut instance.succ_data, data);
+        if retain_topology {
+            // Compaction drops edges into pruned states; apply_patch needs
+            // them to revive such states, so the full CSR moves here.
             instance.retained = Some(super::delta::RetainedTopology::new(
-                instance.succ_offsets.clone(),
-                instance.succ_data.clone(),
-                instance.nodes.len(),
+                full_offsets,
+                full_data,
+                num_nodes,
             ));
         }
-        compact_pruned(&mut instance);
         instance
     }
-}
-
-/// Drop every decision into a pruned state (`π₁ = 0̄`), and the entire
-/// successor lists of pruned states, rewriting the successor CSR in place.
-/// Afterwards [`TdpInstance::choices`] needs no per-iteration filter.
-fn compact_pruned<D: Dioid>(instance: &mut TdpInstance<D>) {
-    let zero = D::zero();
-    let mut write = 0usize;
-    let num_nodes = instance.nodes.len();
-    // Slot ids are assigned in node order, so walking nodes outer and slots
-    // inner visits succ_data strictly left-to-right; `write` never overtakes
-    // the read cursor.
-    let mut new_offsets: Vec<u32> = Vec::with_capacity(instance.succ_offsets.len());
-    new_offsets.push(0);
-    for n in 0..num_nodes {
-        let keep_owner = instance.subtree_opt[n] != zero;
-        let first_slot = instance.slot_offsets[n] as usize;
-        let last_slot = instance.slot_offsets[n + 1] as usize;
-        for d in first_slot..last_slot {
-            if keep_owner {
-                let start = instance.succ_offsets[d] as usize;
-                let end = instance.succ_offsets[d + 1] as usize;
-                for i in start..end {
-                    let t = instance.succ_data[i];
-                    if instance.subtree_opt[t.index()] != zero {
-                        instance.succ_data[write] = t;
-                        write += 1;
-                    }
-                }
-            }
-            new_offsets.push(write as u32);
-        }
-    }
-    instance.succ_data.truncate(write);
-    instance.succ_data.shrink_to_fit();
-    instance.succ_offsets = new_offsets;
 }
 
 /// Topologically order the non-root stages so that parents come first

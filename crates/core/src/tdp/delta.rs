@@ -17,27 +17,28 @@
 //! [`TdpBuilder::retain_topology`](super::TdpBuilder::retain_topology) keep
 //! the **full** pre-compaction CSR (plus per-node "killed" flags) alongside
 //! the compacted one; [`apply_patch`] edits the full CSR, sweeps, and then
-//! re-derives the compacted CSR in one `O(E)` pass — enumeration hot loops
-//! still only ever see compacted lists.
+//! re-derives the compacted CSR in one `O(E)` pass with the build's own
+//! `bottom_up::compact` — enumeration hot loops still only ever see
+//! compacted lists.
 //!
 //! ## The sweep
 //!
 //! Stages are processed children-first (reverse serial order, root last), so
 //! when a dirty state is re-evaluated all of its successors' `π₁` values are
-//! final. Re-evaluation uses the same arithmetic as the build-time bottom-up
-//! phase — `⊕` over each full successor row (states with `π₁ = 0̄` contribute
-//! nothing), `⊗` across slots in slot order — so patched values are
-//! bit-identical to a from-scratch rebuild over the same data: `⊕` is
-//! selective (order-independent) and the `⊗` fold order per state is fixed
-//! by the stage tree, not by successor-list order. Dirtiness propagates to a
-//! state's predecessors only when its `π₁` changed, which is what keeps the
-//! sweep proportional to the affected cone rather than the instance.
+//! final. A re-evaluation is a call of `bottom_up::eval_state` over the full
+//! CSR, the function the build-time bottom-up phase runs for every state. So
+//! patched values are bit-identical to a from-scratch rebuild over the same
+//! data: the arithmetic is the same code, `⊕` is selective (successor-list
+//! order does not matter), and the `⊗` fold order per state is fixed by the
+//! stage tree. Dirtiness propagates to a state's predecessors only when its
+//! `π₁` changed, which is what keeps the sweep proportional to the affected
+//! cone rather than the instance.
 //!
 //! Killed states (deleted input tuples) keep `π₁ = 0̄` permanently and are
 //! excluded from re-evaluation; their rows and in-edges are dropped from the
 //! full CSR so no later patch can resurrect them.
 
-use super::{Node, NodeId, StageId, TdpInstance};
+use super::{bottom_up, Node, NodeId, StageId, TdpInstance};
 use crate::dioid::Dioid;
 
 /// The full pre-compaction successor topology, retained at build time so
@@ -332,13 +333,7 @@ pub fn apply_patch<D: Dioid>(
     //    reverse CSR is ever materialised. Stages none of whose child stages
     //    changed skip the scan entirely, so untouched branches of the join
     //    tree cost one flag check per state.
-    let stage_order: Vec<StageId> = instance
-        .serial_order
-        .iter()
-        .rev()
-        .copied()
-        .chain(std::iter::once(StageId::ROOT))
-        .collect();
+    let stage_order: Vec<StageId> = instance.stages_children_first().collect();
     let mut changed = vec![false; num_nodes];
     let mut stage_changed = vec![false; instance.stages.len()];
     let mut nodes_reevaluated = 0usize;
@@ -367,25 +362,15 @@ pub fn apply_patch<D: Dioid>(
                 continue;
             }
             nodes_reevaluated += 1;
-            // Same arithmetic as the build-time eval: ⊕ per full row
-            // (skipping π₁ = 0̄), ⊗ across slots in slot order.
-            let mut total = D::one();
-            for off in 0..num_stage_slots {
-                let d = first + off;
-                let start = full_offsets[d] as usize;
-                let end = full_offsets[d + 1] as usize;
-                let mut best = D::zero();
-                for &t in &full_data[start..end] {
-                    let sub = &instance.subtree_opt[t.index()];
-                    if *sub == zero {
-                        continue;
-                    }
-                    let value = D::times(&instance.nodes[t.index()].weight, sub);
-                    best = D::plus(&best, &value);
-                }
-                total = D::times(&total, &best);
-                instance.branch_opt[d] = best;
-            }
+            let total = bottom_up::eval_state::<D>(
+                &instance.nodes,
+                &full_offsets,
+                &full_data,
+                &instance.subtree_opt,
+                &mut instance.branch_opt,
+                first,
+                num_stage_slots,
+            );
             if instance.subtree_opt[n] != total {
                 instance.subtree_opt[n] = total;
                 changed[n] = true;
@@ -394,35 +379,12 @@ pub fn apply_patch<D: Dioid>(
         }
     }
 
-    // 7. Re-derive the compacted CSR the enumeration hot loops consume, the
-    //    same way build-time compaction does: drop rows of pruned owners and
-    //    edges into pruned targets (killed states have π₁ = 0̄, so they fall
-    //    out here too). Liveness is flattened to a bit per state first — one
-    //    sequential pass — so the per-edge filter reads a byte instead of
-    //    comparing dioid values at random offsets.
+    // 7. Re-derive the compacted CSR the enumeration hot loops consume with
+    //    the build's compaction (killed states have π₁ = 0̄, so they fall
+    //    out here too).
     let live: Vec<bool> = instance.subtree_opt.iter().map(|v| *v != zero).collect();
-    let mut compact_offsets: Vec<u32> = Vec::with_capacity(num_slots + 1);
-    compact_offsets.push(0);
-    let mut compact_data: Vec<NodeId> = Vec::with_capacity(full_data.len());
-    for n in 0..num_nodes {
-        let keep_owner = live[n];
-        let first = instance.slot_offsets[n] as usize;
-        let last = instance.slot_offsets[n + 1] as usize;
-        for d in first..last {
-            if keep_owner {
-                let start = full_offsets[d] as usize;
-                let end = full_offsets[d + 1] as usize;
-                for &t in &full_data[start..end] {
-                    if live[t.index()] {
-                        compact_data.push(t);
-                    }
-                }
-            }
-            compact_offsets.push(compact_data.len() as u32);
-        }
-    }
-    instance.succ_offsets = compact_offsets;
-    instance.succ_data = compact_data;
+    (instance.succ_offsets, instance.succ_data) =
+        bottom_up::compact(&instance.slot_offsets, &full_offsets, &full_data, &live);
 
     let stats = PatchStats {
         nodes_reevaluated,

@@ -50,14 +50,6 @@ pub use bottom_up::top1_solution;
 pub use builder::TdpBuilder;
 pub use delta::{apply_patch, PatchError, PatchStats, TdpPatch};
 
-/// The bottom-up worker count the next [`TdpBuilder::build`] will use:
-/// `ANYK_THREADS` if set (clamped to ≥ 1), else the machine's available
-/// parallelism. Exposed so harnesses can *record* the count that was
-/// actually in effect without re-implementing the resolution.
-pub fn default_bottom_up_threads() -> usize {
-    bottom_up::threads_from_env()
-}
-
 use crate::anyk_part::successor::RootCache;
 use crate::dioid::Dioid;
 
@@ -296,15 +288,9 @@ impl<D: Dioid> TdpInstance<D> {
     /// This is the quantity `Π*(1)` used in the proof of Theorem 11.
     pub fn count_solutions(&self) -> u128 {
         let mut counts: Vec<u128> = vec![0; self.nodes.len()];
-        // Process stages children-first (reverse serial order), ending with
-        // the root stage; compacted successor lists make pruned branches
-        // contribute 0 without any explicit filtering.
-        for &sid in self
-            .serial_order
-            .iter()
-            .rev()
-            .chain(std::iter::once(&StageId::ROOT))
-        {
+        // Compacted successor lists make pruned branches contribute 0
+        // without any explicit filtering.
+        for sid in self.stages_children_first() {
             let stage = &self.stages[sid.index()];
             let num_slots = stage.children.len();
             for &nid in &stage.nodes {
@@ -321,6 +307,16 @@ impl<D: Dioid> TdpInstance<D> {
             }
         }
         counts[NodeId::ROOT.index()]
+    }
+
+    /// Every stage children-first: reverse serial order, then the root
+    /// stage. When a stage comes up, all of its child stages are done.
+    pub(crate) fn stages_children_first(&self) -> impl Iterator<Item = StageId> + '_ {
+        self.serial_order
+            .iter()
+            .rev()
+            .copied()
+            .chain(std::iter::once(StageId::ROOT))
     }
 
     /// The "pending branches" of serial position `pos` (see the module docs

@@ -21,9 +21,6 @@ pub enum EngineError {
     /// simple ℓ-cycles (ℓ ≥ 4) are supported with optimality guarantees.
     /// Such queries can still be answered through [`crate::wcoj`] + sorting.
     UnsupportedCyclicQuery(String),
-    /// Ranked enumeration with projections was requested for a query outside
-    /// the supported (free-connex) class.
-    NotFreeConnex(String),
     /// The query or spec is structurally invalid (unbound variable, bad
     /// head, predicate on an unknown variable, empty body).
     Query(QueryError),
@@ -70,10 +67,6 @@ impl fmt::Display for EngineError {
             EngineError::UnsupportedCyclicQuery(q) => write!(
                 f,
                 "query `{q}` is cyclic but not a simple cycle; use the WCOJ batch fallback"
-            ),
-            EngineError::NotFreeConnex(q) => write!(
-                f,
-                "query `{q}` is not acyclic free-connex; min-weight projection guarantees do not apply"
             ),
             EngineError::Query(e) => write!(f, "invalid query: {e}"),
             EngineError::ConstantTypeMismatch {

@@ -31,8 +31,6 @@
 //!   PostgreSQL comparison of Fig. 14), [`wcoj`] (a Generic-Join–style
 //!   worst-case optimal join, §9.1.1 / Fig. 17), and [`rankjoin`]
 //!   (an HRJN-style middleware top-k operator, §9.1.3);
-//! * [`projection`] — join queries with projections under all-weight and
-//!   min-weight semantics (§8.1);
 //! * [`AnswerDecoder`] — maps answers over dictionary-encoded relations back
 //!   to their original strings (the engine itself only ever sees dense ids).
 
@@ -45,7 +43,6 @@ pub mod cycle;
 mod error;
 pub mod naive_sql;
 pub mod prepared;
-pub mod projection;
 mod ranked;
 pub mod rankjoin;
 mod refresh;

@@ -1,7 +1,6 @@
 //! Conjunctive queries.
 
 use crate::atom::Atom;
-use crate::free_connex;
 use crate::gyo;
 use crate::hypergraph::Hypergraph;
 
@@ -90,12 +89,6 @@ impl ConjunctiveQuery {
     /// Whether the query is alpha-acyclic (GYO reduction succeeds, §2.1).
     pub fn is_acyclic(&self) -> bool {
         gyo::join_tree(&self.atoms).is_some()
-    }
-
-    /// Whether the query is acyclic **and** free-connex (§8.1) — the class
-    /// admitting min-weight projection semantics with optimal guarantees.
-    pub fn is_free_connex(&self) -> bool {
-        free_connex::is_free_connex(self)
     }
 
     /// Whether the query has a self-join (two atoms over the same relation).

@@ -19,8 +19,6 @@
 //!   atoms as hyperedges);
 //! * [`JoinTree`] and the GYO reduction ([`gyo`]) — alpha-acyclicity testing
 //!   and join-tree construction in `O(|Q|)` data-independent time;
-//! * [`free_connex`] — the free-connex test used for ranked enumeration
-//!   under min-weight projection semantics (§8.1);
 //! * [`QueryBuilder`] — convenience constructors for the path, star and
 //!   cycle queries used throughout the paper's evaluation (§7, Appendix B).
 
@@ -31,7 +29,6 @@ mod atom;
 mod builders;
 mod cq;
 mod error;
-pub mod free_connex;
 pub mod gyo;
 pub mod hypergraph;
 pub mod parse;

@@ -315,14 +315,15 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-mod clock;
 mod error;
 mod governor;
 pub mod net;
 mod service;
 mod stats;
 
-pub use clock::{Clock, ManualClock, MonotonicClock};
+// The time source lives in anyk-obs so the engine's delay recorder and the
+// service tick on one clock; these are its historical service paths.
+pub use anyk_obs::{Clock, ManualClock, MonotonicClock};
 pub use error::{OverloadReason, ServiceError};
 pub use governor::GovernorConfig;
 pub use service::{

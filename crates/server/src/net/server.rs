@@ -43,9 +43,9 @@ use super::protocol::{
     encode_response, read_frame, write_frame, FrameReadError, Request, Response, WireError,
     WireOverloadReason, DEFAULT_MAX_FRAME_BYTES, VERSION,
 };
-use crate::clock::{Clock, MonotonicClock};
 use crate::service::{QueryService, SessionId};
 use anyk_core::faults;
+use anyk_obs::{Clock, MonotonicClock};
 use anyk_query::QuerySpec;
 use std::collections::HashMap;
 use std::io;

@@ -1,13 +1,14 @@
 //! The query service: prepared-plan cache + sharded session registry +
 //! lifecycle governance (admission control, deadlines, panic isolation).
 
-use crate::clock::{Clock, MonotonicClock};
 use crate::error::ServiceError;
 use crate::governor::{Governor, GovernorConfig, SessionOutcome};
 use crate::stats::{StatsSnapshot, STATS_VERSION};
 use anyk_core::AnyKAlgorithm;
 use anyk_engine::{Answer, AnswerCursor, AnswerDecoder, Page, PreparedQuery, RankingFunction};
-use anyk_obs::{Event, EventKind, EventRing, LatencyHistogram, PlanObs, PlanRegistry};
+use anyk_obs::{
+    Clock, Event, EventKind, EventRing, LatencyHistogram, MonotonicClock, PlanObs, PlanRegistry,
+};
 use anyk_query::{ConjunctiveQuery, QuerySpec};
 use anyk_storage::{Database, DeltaBatch, IndexCacheStats};
 use std::collections::hash_map::DefaultHasher;
@@ -1403,8 +1404,8 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::ManualClock;
     use crate::error::OverloadReason;
+    use anyk_obs::ManualClock;
     use anyk_query::QueryBuilder;
     use anyk_storage::Relation;
     use std::time::Duration;
