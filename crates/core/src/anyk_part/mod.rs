@@ -38,10 +38,20 @@
 //! *touched*, not what the instance *contains*: the pool holds only the
 //! choice sets visited so far, the MEM(k) figures are counters bumped when a
 //! structure is built (so [`AnyKPart::memory_stats`] is `O(1)`), and the one
-//! choice set every enumerator touches in full — the root's, e.g. all of
-//! `R1` — is ordered once per instance and shared (`successor::RootCache`).
-//! Only the index itself is `O(slot ids)`, and it is four zero bytes per
-//! slot.
+//! choice set every enumerator touches — the root's, e.g. all of `R1` — is
+//! ordered once per instance and borrowed, never copied, by every kind
+//! (`successor::RootCache`); `Lazy` ranks the shared heap through a private
+//! frontier of `O(drained)` positions. Only the index itself is
+//! `O(slot ids)`, and it is four zero bytes per slot.
+//!
+//! At depth the kinds differ in what the candidate queue holds. `Take2`
+//! leaves every prefix's heap frontier there: a pop pushes up to two heap
+//! children, so the queue grows by about one candidate per answer. `Eager`
+//! and `Lazy` share one rank order per choice set across all prefixes and
+//! push at most the next rank, so the queue holds about one candidate per
+//! live prefix. On the worst-case 6-cycle at k = 10⁶ (anykbench's
+//! `deep_cycle6`), the decomposition trees together queue 1 044 145
+//! candidates under `Take2` and 34 088 under `Lazy`.
 
 pub(crate) mod successor;
 
@@ -253,7 +263,7 @@ impl<'a, D: Dioid> AnyKPart<'a, D> {
             prefix_arena_entries: self.arena.len(),
             structure_table_slots: self.inst.num_slot_ids(),
             structures_allocated: indexed.len(),
-            structure_choices: self.pool.iter().map(|h| h.get().len()).sum(),
+            structure_choices: self.pool.iter().map(Held::len).sum(),
         }
     }
 
@@ -273,18 +283,13 @@ impl<'a, D: Dioid> AnyKPart<'a, D> {
     #[cold]
     fn build_structure(&mut self, node: NodeId, slot: u32, d: usize) -> usize {
         let (inst, kind) = (self.inst, self.kind);
-        let build = || SuccState::new(kind, inst.choices(node, slot).collect());
+        let choices = || inst.choices(node, slot).collect();
         let held = if node == NodeId::ROOT {
-            let shared = inst.root_cache.get_or_build(kind, slot, build);
-            if shared.drains_in_place() {
-                Held::Own(shared.clone())
-            } else {
-                Held::Shared(shared)
-            }
+            inst.root_cache.held(kind, slot, choices)
         } else {
-            Held::Own(build())
+            Held::Own(SuccState::new(kind, choices()))
         };
-        self.structure_choices += held.get().len();
+        self.structure_choices += held.len();
         self.pool.push(held);
         // At most one structure per slot id, and slot ids fit `u32`.
         self.slot_index[d] = self.pool.len() as u32;
@@ -334,7 +339,7 @@ impl<'a, D: Dioid> AnyKPart<'a, D> {
         }
         let slot = self.slot_of(0);
         let p = self.structure(NodeId::ROOT, slot);
-        let st = self.pool[p].get();
+        let st = &self.pool[p];
         let top_idx = st.top();
         let top = st.choice(top_idx).0;
         let total = self.inst.optimum().clone();
@@ -384,7 +389,7 @@ impl<'a, D: Dioid> AnyKPart<'a, D> {
             self.pool[p].successors(current_idx, &mut succ_buf);
             if !succ_buf.is_empty() {
                 let pending = self.pending_completion(&states, pos);
-                let st = self.pool[p].get();
+                let st = &self.pool[p];
                 for &sibling_idx in &succ_buf {
                     let (s, value) = st.choice(sibling_idx);
                     let total = D::times(&D::times(&prefix_weight, value), &pending);
@@ -413,7 +418,7 @@ impl<'a, D: Dioid> AnyKPart<'a, D> {
                 let tail_next = self.parent_state(&states, pos + 1);
                 let slot_next = self.slot_of(pos + 1);
                 let p = self.structure(tail_next, slot_next);
-                let st = self.pool[p].get();
+                let st = &self.pool[p];
                 current_idx = st.top();
                 current = st.choice(current_idx).0;
             }
@@ -471,10 +476,23 @@ mod tests {
         SuccessorKind::Take2,
     ];
 
+    /// The stage trees the property tests run over: paths, stars, deeper
+    /// trees and roots with several choice sets.
+    fn shape(shape: usize) -> &'static [usize] {
+        match shape {
+            0 => &[0, 1, 2, 3],    // path
+            1 => &[0, 1, 1, 1],    // star
+            2 => &[0, 1, 1, 2, 3], // tree
+            3 => &[0, 0, 1, 2],    // root with two choice sets
+            _ => &[0, 0, 0],       // root with three, nothing below
+        }
+    }
+
     /// A random instance over the stage tree `parents` (`parents[i]` is the
     /// parent of stage `i + 1`; `0` is the root stage, so a `0` beyond the
-    /// first entry gives the root state a second choice set).
-    fn random_instance(parents: &[usize], seed: u64) -> TdpInstance<TropicalMin> {
+    /// first entry gives the root state a second choice set), with state
+    /// weights drawn from `0..weights`.
+    fn random_instance(parents: &[usize], seed: u64, weights: u32) -> TdpInstance<TropicalMin> {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut b = TdpBuilder::<TropicalMin>::new();
         let mut stages = vec![StageId::ROOT];
@@ -486,7 +504,7 @@ mod tests {
                 b.add_stage(&format!("s{}", i + 1), stages[parent], true)
             };
             let ids: Vec<NodeId> = (0..rng.gen_range(1usize..6))
-                .map(|_| b.add_state(stage.index(), (rng.gen_range(0..50u32) as f64).into()))
+                .map(|_| b.add_state(stage.index(), (rng.gen_range(0..weights) as f64).into()))
                 .collect();
             for &child in &ids {
                 if parent == 0 {
@@ -509,22 +527,15 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// The counters behind the O(1) `memory_stats()` never drift from a
-        /// recount over the structures, page after page, for every kind —
-        /// on paths, stars, deeper trees and roots with several choice sets.
+        /// recount over the structures, page after page, for every kind and
+        /// every shape.
         #[test]
         fn counted_memory_stats_equal_a_recount_after_every_page(
-            shape in 0usize..5,
+            shape_id in 0usize..5,
             seed in any::<u64>(),
             page in 1usize..8,
         ) {
-            let parents: &[usize] = match shape {
-                0 => &[0, 1, 2, 3],    // path
-                1 => &[0, 1, 1, 1],    // star
-                2 => &[0, 1, 1, 2, 3], // tree
-                3 => &[0, 0, 1, 2],    // root with two choice sets
-                _ => &[0, 0, 0],       // root with three, nothing below
-            };
-            let inst = random_instance(parents, seed);
+            let inst = random_instance(shape(shape_id), seed, 50);
             for kind in KINDS {
                 let mut it = AnyKPart::new(&inst, kind);
                 prop_assert_eq!(it.memory_stats(), it.recount(), "{:?} at open", kind);
@@ -538,26 +549,95 @@ mod tests {
                 prop_assert_eq!(it.emitted() as u128, inst.count_solutions());
             }
         }
+
+        /// Lazy ranks every choice set, the borrowed root included, exactly
+        /// as Eager sorts it, so under heavy ties the two emit the same
+        /// solutions in the same order and hold the same MEM(k) after every
+        /// page.
+        #[test]
+        fn lazy_emits_eagers_stream_under_ties(
+            shape_id in 0usize..5,
+            seed in any::<u64>(),
+            page in 1usize..8,
+        ) {
+            let inst = random_instance(shape(shape_id), seed, 5);
+            let mut lazy = AnyKPart::new(&inst, SuccessorKind::Lazy);
+            let mut eager = AnyKPart::new(&inst, SuccessorKind::Eager);
+            loop {
+                let a: Vec<_> = lazy.by_ref().take(page).map(|s| (s.weight, s.states)).collect();
+                let b: Vec<_> = eager.by_ref().take(page).map(|s| (s.weight, s.states)).collect();
+                prop_assert_eq!(&a, &b);
+                prop_assert_eq!(lazy.memory_stats(), eager.memory_stats());
+                if a.len() < page {
+                    break;
+                }
+            }
+        }
     }
 
     #[test]
-    fn root_structures_are_built_once_and_shared_except_by_lazy() {
+    fn every_kind_borrows_the_root_and_lazy_reads_take2s_heap() {
         let inst = cartesian_3();
+        let root = |it: &AnyKPart<'_, TropicalMin>| {
+            it.pool[it.slot_index[inst.slot_id(NodeId::ROOT, 0) as usize] as usize - 1]
+                .borrowed()
+                .expect("root structures are borrowed")
+        };
         for kind in KINDS {
             let mut first = AnyKPart::new(&inst, kind);
             let mut second = AnyKPart::new(&inst, kind);
             first.next();
             second.next();
-            let root = |it: &AnyKPart<'_, TropicalMin>| -> *const SuccState<TropicalMin> {
-                it.pool[it.slot_index[0] as usize - 1].get()
-            };
-            assert_eq!(
-                root(&first) == root(&second),
-                kind != SuccessorKind::Lazy,
-                "{kind:?}: Lazy drains in place, so it must own a copy"
-            );
+            assert_eq!(root(&first), root(&second), "{kind:?}");
             assert_eq!(first.memory_stats(), second.memory_stats(), "{kind:?}");
         }
+        let mut lazy = AnyKPart::new(&inst, SuccessorKind::Lazy);
+        let mut take2 = AnyKPart::new(&inst, SuccessorKind::Take2);
+        lazy.next();
+        take2.next();
+        assert_eq!(root(&lazy), root(&take2));
+    }
+
+    /// Why Take2's queue grows at depth and Lazy's does not. `p` prefixes
+    /// share one last-stage choice set of `m` choices (through one value
+    /// state, as the join encoding shares a key's children). Take2 keeps a
+    /// heap frontier per prefix in the candidate queue — about one
+    /// candidate per answer — while Lazy ranks the shared set once and
+    /// keeps one candidate per prefix it touched, plus at most one per
+    /// stage.
+    #[test]
+    fn take2_queues_a_frontier_per_prefix_and_lazy_one_candidate() {
+        let (p, m, k) = (32usize, 1023usize, 2000usize);
+        let mut b = TdpBuilder::<TropicalMin>::serial(3);
+        // Ascending weights in id order: the heapified set is already
+        // sorted, so every popped heap position has both children.
+        let prefixes: Vec<_> = (0..p).map(|i| b.add_state(1, (i as f64).into())).collect();
+        let shared = b.add_state(2, 0.0.into());
+        let last: Vec<_> = (0..m).map(|j| b.add_state(3, (j as f64).into())).collect();
+        for &s in &prefixes {
+            b.connect_root(s);
+            b.connect(s, shared);
+        }
+        for &s in &last {
+            b.connect(shared, s);
+        }
+        let inst = b.build();
+        let ell = inst.solution_len();
+
+        let mut take2 = AnyKPart::new(&inst, SuccessorKind::Take2);
+        assert_eq!(take2.by_ref().take(k).count(), k);
+        let queued = take2.memory_stats().candidates;
+        assert!(queued >= k / 2, "Take2 queued {queued} after {k} answers");
+
+        let mut lazy = AnyKPart::new(&inst, SuccessorKind::Lazy);
+        let touched: std::collections::HashSet<NodeId> =
+            lazy.by_ref().take(k).map(|s| s.states[0]).collect();
+        let queued = lazy.memory_stats().candidates;
+        assert!(
+            queued <= touched.len() + ell,
+            "Lazy queued {queued} with {} prefixes touched",
+            touched.len()
+        );
     }
 
     /// Example 6/8/9 of the paper: the 3-relation Cartesian product.

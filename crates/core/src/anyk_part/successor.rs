@@ -7,9 +7,9 @@
 //!
 //! * [`SuccessorKind::Eager`]: choice sets are fully sorted (lazily, on first
 //!   access); the successor of a choice is the next one in sort order.
-//! * [`SuccessorKind::Lazy`]: choice sets are binary heaps that are
-//!   incrementally drained into a sorted list (Chang et al.); asymptotically
-//!   cheaper pre-processing than `Eager`.
+//! * [`SuccessorKind::Lazy`]: choice sets are heapified once and drained into
+//!   rank order one pop at a time, as far as the enumeration asks (Chang et
+//!   al.); asymptotically cheaper pre-processing than `Eager`.
 //! * [`SuccessorKind::All`]: no pre-processing at all; when the best choice
 //!   is expanded, *all* other choices become candidates at once (Yang et al.).
 //! * [`SuccessorKind::Take2`]: the paper's new structure — the choice set is
@@ -20,11 +20,20 @@
 //! ## Index-based addressing
 //!
 //! Choices are addressed by their **dense index** within the structure
-//! (position in the sorted order for `Eager`/`Lazy`, position in the original
-//! choice array for `All`, position in the array-embedded heap for `Take2`).
-//! The enumerator carries the index of the choice it followed alongside the
-//! chosen state, so `Succ` resolves successors by pure array arithmetic — no
+//! (rank for `Eager`/`Lazy`, position in the original choice array for
+//! `All`, position in the array-embedded heap for `Take2`). The enumerator
+//! carries the index of the choice it followed alongside the chosen state,
+//! so `Succ` resolves successors by pure array arithmetic — no
 //! `NodeId → position` hash lookup anywhere in the expansion hot loop.
+//!
+//! ## Nothing shared is copied
+//!
+//! The root's choice sets are ordered once per instance ([`RootCache`]) and
+//! every enumerator borrows them. `Lazy` reads the same heapified array as
+//! `Take2` and drains it through a private frontier ([`RootDrain`]), so a
+//! cursor holds `O(drained)` state of its own. A private `Lazy` set drains
+//! in place: an incremental heapsort over the choices the enumerator
+//! collected, with no second allocation.
 
 use crate::dioid::Dioid;
 use crate::tdp::NodeId;
@@ -37,7 +46,7 @@ use std::sync::OnceLock;
 pub enum SuccessorKind {
     /// Fully sort every choice set on first access.
     Eager,
-    /// Incrementally convert a per-choice-set heap into a sorted list.
+    /// Heapify every choice set and drain it into rank order on demand.
     Lazy,
     /// Return every non-optimal choice as a successor of the optimal one.
     All,
@@ -52,8 +61,8 @@ pub(crate) type Choice<V> = (NodeId, V);
 /// The per-(state, slot) successor structure. Created lazily by the
 /// enumerator the first time a choice set is touched, and stored in the
 /// enumerator's pool (see [`Held`]). [`SuccState::len`] is fixed at
-/// construction: `Lazy` only moves entries from its heap to its sorted prefix.
-#[derive(Debug, Clone)]
+/// construction: `Lazy` only reorders its choices as it drains them.
+#[derive(Debug)]
 pub(crate) enum SuccState<D: Dioid> {
     Eager(EagerChoices<D::V>),
     Lazy(LazyChoices<D::V>),
@@ -75,7 +84,7 @@ impl<D: Dioid> SuccState<D> {
     }
 
     /// The index of the best choice (the one followed by optimal expansion).
-    pub(crate) fn top(&self) -> u32 {
+    fn top(&self) -> u32 {
         match self {
             SuccState::Eager(_) | SuccState::Lazy(_) | SuccState::Take2(_) => 0,
             SuccState::All(s) => s.top_idx as u32,
@@ -88,28 +97,21 @@ impl<D: Dioid> SuccState<D> {
     pub(crate) fn choice(&self, idx: u32) -> &Choice<D::V> {
         match self {
             SuccState::Eager(s) => &s.sorted[idx as usize],
-            SuccState::Lazy(s) => &s.sorted[idx as usize],
+            SuccState::Lazy(s) => s.choice(idx),
             SuccState::All(s) => &s.choices[idx as usize],
             SuccState::Take2(s) => &s.heap[idx as usize],
         }
     }
 
-    /// Number of choices held by the structure (sorted prefix + residual
-    /// heap for `Lazy`) — the per-structure term of the MEM(k) accounting.
-    pub(crate) fn len(&self) -> usize {
+    /// Number of choices in the set — the per-structure term of the MEM(k)
+    /// accounting.
+    fn len(&self) -> usize {
         match self {
             SuccState::Eager(s) => s.sorted.len(),
-            SuccState::Lazy(s) => s.sorted.len() + s.heap.len(),
+            SuccState::Lazy(s) => s.choices.len(),
             SuccState::All(s) => s.choices.len(),
             SuccState::Take2(s) => s.heap.len(),
         }
-    }
-
-    /// Whether [`Self::successors`] mutates the structure. Only `Lazy`
-    /// drains in place; the other three are read-only after construction, so
-    /// one instance of them can serve any number of enumerators at once.
-    pub(crate) fn drains_in_place(&self) -> bool {
-        matches!(self, SuccState::Lazy(_))
     }
 
     /// Append to `out` the indices of the successors of the choice at `idx`.
@@ -126,31 +128,55 @@ impl<D: Dioid> SuccState<D> {
     }
 
     /// [`Self::successors`] through a shared reference, for the kinds that
-    /// never mutate ([`Self::drains_in_place`] is false).
-    pub(crate) fn successors_shared(&self, idx: u32, out: &mut Vec<u32>) {
+    /// never mutate. A private `Lazy` set is the only one that drains.
+    fn successors_shared(&self, idx: u32, out: &mut Vec<u32>) {
         match self {
             SuccState::Eager(s) => s.successors(idx, out),
             SuccState::All(s) => s.successors(idx, out),
             SuccState::Take2(s) => s.successors(idx, out),
-            SuccState::Lazy(_) => unreachable!("Lazy structures are never shared"),
+            SuccState::Lazy(_) => unreachable!("Lazy drains in place and is never shared"),
         }
     }
 }
 
 /// A successor structure as one enumerator holds it: built by and private to
-/// that enumerator, or borrowed from the instance's [`RootCache`].
+/// that enumerator, borrowed from the instance's [`RootCache`], or — for
+/// `Lazy` over a root set — the cached heap read through a private drain.
 #[derive(Debug)]
 pub(crate) enum Held<'a, D: Dioid> {
     Own(SuccState<D>),
     Shared(&'a SuccState<D>),
+    Drained(RootDrain<'a, D::V>),
 }
 
 impl<D: Dioid> Held<'_, D> {
+    /// See [`SuccState::top`].
     #[inline]
-    pub(crate) fn get(&self) -> &SuccState<D> {
+    pub(crate) fn top(&self) -> u32 {
         match self {
-            Held::Own(s) => s,
-            Held::Shared(s) => s,
+            Held::Own(s) => s.top(),
+            Held::Shared(s) => s.top(),
+            Held::Drained(_) => 0,
+        }
+    }
+
+    /// See [`SuccState::choice`].
+    #[inline]
+    pub(crate) fn choice(&self, idx: u32) -> &Choice<D::V> {
+        match self {
+            Held::Own(s) => s.choice(idx),
+            Held::Shared(s) => s.choice(idx),
+            Held::Drained(d) => d.choice(idx),
+        }
+    }
+
+    /// See [`SuccState::len`]. A drained root counts its whole set, like a
+    /// structure the enumerator built: MEM(k) is a logical figure.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Held::Own(s) => s.len(),
+            Held::Shared(s) => s.len(),
+            Held::Drained(d) => d.heap.len(),
         }
     }
 
@@ -160,6 +186,20 @@ impl<D: Dioid> Held<'_, D> {
         match self {
             Held::Own(s) => s.successors(idx, out),
             Held::Shared(s) => s.successors_shared(idx, out),
+            Held::Drained(d) => d.successors(idx, out),
+        }
+    }
+
+    /// The shared array this structure reads, if it borrows one.
+    #[cfg(test)]
+    pub(crate) fn borrowed(&self) -> Option<*const Choice<D::V>> {
+        match self {
+            Held::Own(_) => None,
+            Held::Shared(SuccState::Eager(s)) => Some(s.sorted.as_ptr()),
+            Held::Shared(SuccState::All(s)) => Some(s.choices.as_ptr()),
+            Held::Shared(SuccState::Take2(s)) => Some(s.heap.as_ptr()),
+            Held::Shared(SuccState::Lazy(_)) => unreachable!("Lazy is never shared"),
+            Held::Drained(d) => Some(d.heap.as_ptr()),
         }
     }
 }
@@ -172,16 +212,17 @@ impl<D: Dioid> Held<'_, D> {
 /// of (instance, [`SuccessorKind`]); ordering it is the one-time linear work
 /// the paper charges to preprocessing (§4.1.3), not to each enumeration. The
 /// first enumerator that needs a cell fills it; kinds nobody uses cost
-/// nothing. `Eager`/`All`/`Take2` enumerators then borrow the cell, `Lazy`
-/// ones clone it (a copy, not a re-heapify) because they drain in place.
+/// nothing. Every enumerator borrows its cell, none copies it: `Eager`,
+/// `All` and `Take2` read theirs as is, and `Lazy` drains `Take2`'s heap
+/// through a [`RootDrain`] of its own.
 ///
 /// A cache describes one generation of the instance: `Clone` yields an
 /// *empty* cache and [`apply_patch`](crate::tdp::apply_patch) empties it, so
 /// an edited copy never inherits the original's root order.
 #[derive(Debug)]
 pub(crate) struct RootCache<D: Dioid> {
-    /// Indexed by root slot, then by `SuccessorKind as usize`.
-    cells: Vec<[OnceLock<SuccState<D>>; 4]>,
+    /// Indexed by root slot, then by [`RootCache::cell`].
+    cells: Vec<[OnceLock<SuccState<D>>; 3]>,
 }
 
 impl<D: Dioid> RootCache<D> {
@@ -197,15 +238,34 @@ impl<D: Dioid> RootCache<D> {
         *self = Self::new(self.cells.len());
     }
 
-    /// The structure of root slot `slot` under `kind`, built by whichever
-    /// caller gets there first (racing callers wait for it).
-    pub(crate) fn get_or_build(
+    /// The cell `kind` reads, and the structure that fills it: `Lazy` and
+    /// `Take2` share one heap.
+    fn cell(kind: SuccessorKind) -> (usize, SuccessorKind) {
+        match kind {
+            SuccessorKind::Eager => (0, SuccessorKind::Eager),
+            SuccessorKind::All => (1, SuccessorKind::All),
+            SuccessorKind::Take2 | SuccessorKind::Lazy => (2, SuccessorKind::Take2),
+        }
+    }
+
+    /// Root slot `slot` as an enumerator of `kind` holds it. The cell is
+    /// built from `choices` by whichever caller gets there first (racing
+    /// callers wait for it).
+    pub(crate) fn held(
         &self,
         kind: SuccessorKind,
         slot: u32,
-        build: impl FnOnce() -> SuccState<D>,
-    ) -> &SuccState<D> {
-        self.cells[slot as usize][kind as usize].get_or_init(build)
+        choices: impl FnOnce() -> Vec<Choice<D::V>>,
+    ) -> Held<'_, D> {
+        let (cell, built) = Self::cell(kind);
+        let shared =
+            self.cells[slot as usize][cell].get_or_init(|| SuccState::new(built, choices()));
+        match shared {
+            SuccState::Take2(t) if kind == SuccessorKind::Lazy => {
+                Held::Drained(RootDrain::new(&t.heap))
+            }
+            _ => Held::Shared(shared),
+        }
     }
 }
 
@@ -229,7 +289,7 @@ fn by_rank<V: Ord>(a: &Choice<V>, b: &Choice<V>) -> Ordering {
 
 /// Fully sorted choice list; a choice's index is its rank, so its successor
 /// is simply the next index.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct EagerChoices<V> {
     sorted: Vec<Choice<V>>,
 }
@@ -251,47 +311,112 @@ impl<V: Ord + Clone> EagerChoices<V> {
 // Lazy
 // ---------------------------------------------------------------------------
 
-/// A binary heap that is drained into a sorted prefix on demand; indices
-/// refer to positions in the sorted prefix, which is stable once
-/// materialised. Following §4.1.3, the top two choices are materialised
-/// eagerly because almost every successor request asks for the second-best
-/// choice.
-#[derive(Debug, Clone)]
+/// A private choice set drained in place by incremental heapsort:
+/// `choices[..heap_len]` is a min-heap of the choices not yet ranked, and
+/// each pop swaps the minimum to the end of the heap, so rank `r` sits at
+/// `len − 1 − r` and stays there. Indices are ranks. Following §4.1.3, the
+/// top two choices are ranked eagerly because almost every successor request
+/// asks for the second-best choice.
+#[derive(Debug)]
 pub(crate) struct LazyChoices<V> {
-    sorted: Vec<Choice<V>>,
-    heap: BinaryHeap<Reverse<(V, NodeId)>>,
+    choices: Vec<Choice<V>>,
+    heap_len: usize,
 }
 
 impl<V: Ord + Clone> LazyChoices<V> {
-    fn new(choices: Vec<Choice<V>>) -> Self {
-        let heap: BinaryHeap<Reverse<(V, NodeId)>> =
-            choices.into_iter().map(|(n, v)| Reverse((v, n))).collect();
-        let mut lazy = LazyChoices {
-            sorted: Vec::new(),
-            heap,
-        };
-        // Pop the top two choices up front (§4.1.3): almost every successor
-        // request during result expansion asks for the second-best choice.
-        for _ in 0..2 {
-            lazy.pop_into_sorted();
-        }
+    fn new(mut choices: Vec<Choice<V>>) -> Self {
+        heapify_min(&mut choices);
+        let heap_len = choices.len();
+        let mut lazy = LazyChoices { choices, heap_len };
+        lazy.pop();
+        lazy.pop();
         lazy
     }
 
-    fn pop_into_sorted(&mut self) {
-        if let Some(Reverse((v, n))) = self.heap.pop() {
-            self.sorted.push((n, v));
+    #[inline]
+    fn choice(&self, rank: u32) -> &Choice<V> {
+        &self.choices[self.choices.len() - 1 - rank as usize]
+    }
+
+    /// Rank the minimum of the heap.
+    fn pop(&mut self) {
+        if self.heap_len == 0 {
+            return;
+        }
+        self.heap_len -= 1;
+        self.choices.swap(0, self.heap_len);
+        sift_down(&mut self.choices[..self.heap_len], 0);
+    }
+
+    fn successors(&mut self, idx: u32, out: &mut Vec<u32>) {
+        // Indices are only handed out for ranked choices, so at most one pop
+        // is needed to expose the next rank.
+        let next = idx as usize + 1;
+        while self.choices.len() - self.heap_len <= next && self.heap_len > 0 {
+            self.pop();
+        }
+        if next < self.choices.len() {
+            out.push(next as u32);
+        }
+    }
+}
+
+/// `Lazy` over a root choice set: the instance's shared `Take2` heap, ranked
+/// by a private frontier. The frontier holds the heap positions whose parent
+/// is ranked and which are not ranked themselves, keyed by `(value, node id)`;
+/// its minimum is the next rank, since every unranked choice lies below one
+/// of them. The cursor owns only the frontier and the ranked positions —
+/// `O(drained)` — and produces the same rank order as draining a private copy
+/// would.
+#[derive(Debug)]
+pub(crate) struct RootDrain<'a, V> {
+    heap: &'a [Choice<V>],
+    frontier: BinaryHeap<Reverse<(V, NodeId, u32)>>,
+    /// Heap positions in rank order: rank `r` is `heap[ranked[r]]`.
+    ranked: Vec<u32>,
+}
+
+impl<'a, V: Ord + Clone> RootDrain<'a, V> {
+    fn new(heap: &'a [Choice<V>]) -> Self {
+        let mut drain = RootDrain {
+            heap,
+            frontier: BinaryHeap::new(),
+            ranked: Vec::new(),
+        };
+        drain.enter(0);
+        // The top two, as for a private set (§4.1.3).
+        drain.pop();
+        drain.pop();
+        drain
+    }
+
+    #[inline]
+    fn choice(&self, rank: u32) -> &Choice<V> {
+        &self.heap[self.ranked[rank as usize] as usize]
+    }
+
+    /// Put heap position `pos`, if it exists, on the frontier.
+    fn enter(&mut self, pos: u32) {
+        if let Some((node, value)) = self.heap.get(pos as usize) {
+            self.frontier.push(Reverse((value.clone(), *node, pos)));
+        }
+    }
+
+    /// Rank the frontier's minimum, and let its heap children replace it.
+    fn pop(&mut self) {
+        if let Some(Reverse((_, _, top))) = self.frontier.pop() {
+            self.ranked.push(top);
+            self.enter(2 * top + 1);
+            self.enter(2 * top + 2);
         }
     }
 
     fn successors(&mut self, idx: u32, out: &mut Vec<u32>) {
-        // Indices are only handed out for materialised choices, so at most
-        // one drain step is needed to expose the next-ranked choice.
         let next = idx as usize + 1;
-        while self.sorted.len() <= next && !self.heap.is_empty() {
-            self.pop_into_sorted();
+        while self.ranked.len() <= next && !self.frontier.is_empty() {
+            self.pop();
         }
-        if next < self.sorted.len() {
+        if next < self.ranked.len() {
             out.push(next as u32);
         }
     }
@@ -305,7 +430,7 @@ impl<V: Ord + Clone> LazyChoices<V> {
 /// expanded, every other choice is returned as a potential successor; all
 /// other choices have an empty successor set (their true successors were
 /// inserted together with them).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct AllChoices<V> {
     choices: Vec<Choice<V>>,
     top_idx: usize,
@@ -338,7 +463,7 @@ impl<V: Ord + Clone> AllChoices<V> {
 /// two) children of `y` in the heap tree, whose values are ≥ `y`'s value, so
 /// inserting them the moment `y` is expanded never violates rank order, and
 /// every choice is produced exactly once — by its unique heap parent.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct Take2Choices<V> {
     heap: Vec<Choice<V>>,
 }
@@ -453,6 +578,41 @@ mod tests {
                 Some(&n) => cur = n,
                 None => break,
             }
+        }
+    }
+
+    /// Both Lazy drains — in place over a private set, and through a
+    /// frontier over a borrowed heap — rank a tie-heavy set exactly as Eager
+    /// sorts it, and leave the borrowed heap untouched.
+    #[test]
+    fn both_lazy_drains_rank_like_eager() {
+        for n in [1usize, 2, 3, 10, 31, 32, 257] {
+            let vals: Vec<f64> = (0..n).map(|i| ((i * 7919 + 13) % 5) as f64).collect();
+            let eager = SuccState::<TropicalMin>::new(SuccessorKind::Eager, choices(&vals));
+            let mut private = SuccState::<TropicalMin>::new(SuccessorKind::Lazy, choices(&vals));
+            let SuccState::Take2(shared) =
+                SuccState::<TropicalMin>::new(SuccessorKind::Take2, choices(&vals))
+            else {
+                unreachable!()
+            };
+            let before = shared.heap.clone();
+            let mut drain = RootDrain::new(&shared.heap);
+            let mut rank = 0;
+            loop {
+                assert_eq!(private.choice(rank), eager.choice(rank), "n = {n}");
+                assert_eq!(drain.choice(rank), eager.choice(rank), "n = {n}");
+                let (mut a, mut b) = (Vec::new(), Vec::new());
+                private.successors(rank, &mut a);
+                drain.successors(rank, &mut b);
+                assert_eq!(a, b);
+                match a.first() {
+                    Some(&next) => rank = next,
+                    None => break,
+                }
+            }
+            assert_eq!(rank as usize + 1, n);
+            assert!(drain.frontier.is_empty());
+            assert_eq!(shared.heap, before);
         }
     }
 

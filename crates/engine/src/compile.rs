@@ -29,6 +29,9 @@ pub struct Compiled<D: Dioid> {
     /// For each output stage (in the instance's serial order): the index of
     /// the query atom it encodes.
     output_atoms: Vec<usize>,
+    /// For each output stage (aligned with `output_atoms`): its serial
+    /// position, i.e. where its state sits in a [`Solution`].
+    output_positions: Vec<usize>,
     /// Relation name per atom.
     pub(crate) atom_relations: Vec<String>,
     /// The query's head variables.
@@ -317,12 +320,13 @@ where
         .enumerate()
         .filter_map(|(a, s)| s.map(|s| (s, a)))
         .collect();
-    let output_atoms: Vec<usize> = instance
+    let (output_positions, output_atoms): (Vec<usize>, Vec<usize>) = instance
         .serial_order()
         .iter()
-        .filter(|sid| instance.stage(**sid).is_output)
-        .map(|sid| stage_to_atom[sid])
-        .collect();
+        .enumerate()
+        .filter(|(_, sid)| instance.stage(**sid).is_output)
+        .map(|(pos, sid)| (pos, stage_to_atom[sid]))
+        .unzip();
 
     // Where does each head variable come from?
     let head_vars = query.head_variables();
@@ -361,6 +365,7 @@ where
     Ok(Compiled {
         instance,
         output_atoms,
+        output_positions,
         atom_relations: atoms.iter().map(|a| a.relation.clone()).collect(),
         head_vars,
         var_sources,
@@ -387,32 +392,79 @@ impl<D: Dioid<V = OrderedF64>> Compiled<D> {
 
     /// Turn a T-DP solution into a query answer. `decode` maps the internal
     /// weight back to the user-facing weight (e.g. un-negating for
-    /// descending rankings).
+    /// descending rankings). A stream of answers resolves its columns once
+    /// through [`Assembler`] instead.
     pub fn assemble(
         &self,
         db: &Database,
         solution: &Solution<D>,
         decode: impl Fn(f64) -> f64,
     ) -> Answer {
-        let witness: Vec<(usize, usize)> = solution
-            .states
-            .iter()
-            .zip(self.instance.serial_order())
-            .filter(|(_, sid)| self.instance.stage(**sid).is_output)
-            .enumerate()
-            .map(|(pos, (nid, _))| (self.output_atoms[pos], self.instance.payload(*nid) as usize))
-            .collect();
-        let values: Vec<Value> = self
+        Assembler::new(self, db).assemble(solution, decode(solution.weight.get()))
+    }
+}
+
+/// Answer assembly for one stream: every head value resolved, once, to the
+/// serial position whose state's payload is the tuple id and the column that
+/// holds the value. An answer then costs one values `Vec` (and its witness,
+/// when kept), with no relation lookup by name.
+pub(crate) struct Assembler<'s, D: Dioid<V = OrderedF64>> {
+    compiled: &'s Compiled<D>,
+    /// Per answer value: (serial position, column of the tuple it reads).
+    columns: Vec<(usize, &'s [Value])>,
+    witness: bool,
+}
+
+impl<'s, D: Dioid<V = OrderedF64>> Assembler<'s, D> {
+    /// Assemble `compiled`'s head values, in head order, with witnesses,
+    /// reading tuples from `db`.
+    pub(crate) fn new(compiled: &'s Compiled<D>, db: &'s Database) -> Self {
+        let columns = compiled
             .var_sources
             .iter()
             .map(|&(pos, col)| {
-                let (atom_idx, tid) = witness[pos];
-                db.expect(&self.atom_relations[atom_idx])
-                    .tuple(tid)
-                    .value(col)
+                let relation = db.expect(&compiled.atom_relations[compiled.output_atoms[pos]]);
+                (compiled.output_positions[pos], relation.column(col))
             })
             .collect();
-        Answer::new(decode(solution.weight.get()), values, witness)
+        Assembler {
+            compiled,
+            columns,
+            witness: true,
+        }
+    }
+
+    /// Emit the head values in the order `perm` (`perm[i]` is the head
+    /// position of the i-th value) and no witness — for a cycle tree, whose
+    /// bag tuples are not input tuples.
+    pub(crate) fn permuted(self, perm: &[usize]) -> Self {
+        Assembler {
+            columns: perm.iter().map(|&p| self.columns[p]).collect(),
+            witness: false,
+            ..self
+        }
+    }
+
+    /// The answer of `solution`, with the user-facing `weight`.
+    pub(crate) fn assemble(&self, solution: &Solution<D>, weight: f64) -> Answer {
+        let instance = &self.compiled.instance;
+        let tuple = |pos: usize| instance.payload(solution.states[pos]) as usize;
+        let values = self
+            .columns
+            .iter()
+            .map(|&(pos, col)| col[tuple(pos)])
+            .collect();
+        let witness = if self.witness {
+            let c = self.compiled;
+            c.output_atoms
+                .iter()
+                .zip(&c.output_positions)
+                .map(|(&atom, &pos)| (atom, tuple(pos)))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        Answer::new(weight, values, witness)
     }
 }
 

@@ -171,7 +171,7 @@ impl PreparedQuery {
         predicates: &[anyk_query::Predicate],
         retain_delta: bool,
     ) -> Result<Self, EngineError> {
-        let effective = crate::select::rewrite_selections(&db, &query, predicates)?;
+        let mut effective = crate::select::rewrite_selections(&db, &query, predicates)?;
         let plan = match &effective {
             // Selection-pushdown plans compile over scratch relation copies
             // that a delta cannot be mapped onto; they recompile on
@@ -179,6 +179,12 @@ impl PreparedQuery {
             Some((scratch, rewritten)) => Plan::prepare(scratch, rewritten, ranking, false)?,
             None => Plan::prepare(&db, &query, ranking, retain_delta)?,
         };
+        if let Some((scratch, _)) = &mut effective {
+            // Compilation was the scratch indexes' only reader: enumeration
+            // reads columns, and ingestion recompiles. A cached plan would
+            // otherwise keep an index over every unfiltered parent relation.
+            scratch.clear_index_cache();
+        }
         Ok(PreparedQuery {
             db,
             query,

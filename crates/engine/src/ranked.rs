@@ -1,7 +1,7 @@
 //! The user-facing ranked-enumeration API.
 
 use crate::answer::Answer;
-use crate::compile::Compiled;
+use crate::compile::{Assembler, Compiled};
 use crate::cycle;
 use crate::error::EngineError;
 use anyk_core::dioid::{Dioid, MinMaxDioid, OrderedF64, TropicalMin};
@@ -11,7 +11,7 @@ use anyk_core::{
 };
 use anyk_query::ConjunctiveQuery;
 use anyk_query::RankingFunction;
-use anyk_storage::{Database, DeltaBatch, RowRef, Value};
+use anyk_storage::{Database, DeltaBatch, RowRef};
 
 /// A full conjunctive query prepared for ranked enumeration.
 ///
@@ -91,18 +91,16 @@ pub trait AnswerStream: Iterator<Item = Answer> + Send {
 /// Acyclic plan stream: core solutions assembled into answers.
 struct AssembleStream<'s, D: Dioid<V = OrderedF64>> {
     inner: RankedIter<'s, D>,
-    compiled: &'s Compiled<D>,
-    db: &'s Database,
+    assembler: Assembler<'s, D>,
     ranking: RankingFunction,
 }
 
 impl<D: Dioid<V = OrderedF64>> Iterator for AssembleStream<'_, D> {
     type Item = Answer;
     fn next(&mut self) -> Option<Answer> {
-        let ranking = self.ranking;
-        self.inner
-            .next()
-            .map(|sol| self.compiled.assemble(self.db, &sol, |w| ranking.decode(w)))
+        let sol = self.inner.next()?;
+        let weight = self.ranking.decode(sol.weight.get());
+        Some(self.assembler.assemble(&sol, weight))
     }
 }
 
@@ -114,10 +112,11 @@ impl<D: Dioid<V = OrderedF64>> AnswerStream for AssembleStream<'_, D> {
 
 /// One source of a cycle-union stream: a decomposition tree's ranked
 /// solutions assembled into `(encoded weight, answer)` pairs with the head
-/// values reordered into the original query's head order.
+/// values in the original query's head order. Witnesses reference bag
+/// tuples, not original input tuples, so none are kept.
 struct TreeSource<'s, D: Dioid<V = OrderedF64>> {
     inner: RankedIter<'s, D>,
-    tree: &'s CycleTreePlan<D>,
+    assembler: Assembler<'s, D>,
     ranking: RankingFunction,
 }
 
@@ -125,16 +124,8 @@ impl<D: Dioid<V = OrderedF64>> Iterator for TreeSource<'_, D> {
     type Item = (OrderedF64, Answer);
     fn next(&mut self) -> Option<Self::Item> {
         let sol = self.inner.next()?;
-        let encoded = sol.weight;
-        let ranking = self.ranking;
-        let raw = self
-            .tree
-            .compiled
-            .assemble(&self.tree.database, &sol, |w| ranking.decode(w));
-        // Witnesses reference bag tuples, not original input tuples, so
-        // they are dropped.
-        let values: Vec<Value> = self.tree.head_perm.iter().map(|&p| raw.value(p)).collect();
-        Some((encoded, Answer::new(raw.weight(), values, Vec::new())))
+        let weight = self.ranking.decode(sol.weight.get());
+        Some((sol.weight, self.assembler.assemble(&sol, weight)))
     }
 }
 
@@ -202,9 +193,6 @@ pub(crate) struct CycleTreePlan<D: Dioid<V = OrderedF64>> {
     /// `head_perm[i]` = position of the i-th *original* head variable within
     /// the tree query's head variables.
     head_perm: Vec<usize>,
-    /// Partition label (useful for diagnostics and the experiment harness).
-    #[allow(dead_code)]
-    label: String,
 }
 
 /// A fully compiled execution plan, decoupled from how the database and
@@ -300,7 +288,6 @@ impl Plan {
                     database: tree.database,
                     compiled,
                     head_perm,
-                    label: tree.label,
                 })
             })
             .collect()
@@ -432,8 +419,7 @@ impl Plan {
     ) -> Box<dyn AnswerStream + 's> {
         Box::new(AssembleStream {
             inner: ranked_enumerate(&compiled.instance, algorithm),
-            compiled,
-            db,
+            assembler: Assembler::new(compiled, db),
             ranking,
         })
     }
@@ -449,7 +435,7 @@ impl Plan {
             .iter()
             .map(|tree| TreeSource {
                 inner: ranked_enumerate(&tree.compiled.instance, algorithm),
-                tree,
+                assembler: Assembler::new(&tree.compiled, &tree.database).permuted(&tree.head_perm),
                 ranking,
             })
             .collect();
@@ -597,7 +583,7 @@ impl<'a> RankedQuery<'a> {
 mod tests {
     use super::*;
     use anyk_query::QueryBuilder;
-    use anyk_storage::Relation;
+    use anyk_storage::{Relation, Value};
 
     fn path_db() -> Database {
         let mut db = Database::new();

@@ -324,9 +324,17 @@ pub struct SessionStatus {
     pub generation: u64,
 }
 
-/// The algorithm driving a session when the request does not pin one (the
-/// paper's overall-best anyK-part variant).
-pub const DEFAULT_ALGORITHM: AnyKAlgorithm = AnyKAlgorithm::Take2;
+/// The algorithm driving a session when the request does not pin one.
+///
+/// Lazy, by anykbench's per-algorithm rows (medians of ten traced runs,
+/// seed 11, 2 vCPUs). On `deep_cycle6`, one cursor to k = 10⁶ on the
+/// worst-case 6-cycle, `core.lazy.ttk_ms` reads 363 ms against
+/// `core.take2.ttk_ms` 751: Take2's candidate queue grows by about one entry
+/// per answer (1 044 145 after 10⁶), Lazy's by one per live prefix (34 088).
+/// At k = 1 000 the two are level (`tt1000_ms` 0.35 against 0.36). Lazy
+/// borrows the plan's root heap as Take2 does, so opening a cursor costs the
+/// same.
+pub const DEFAULT_ALGORITHM: AnyKAlgorithm = AnyKAlgorithm::Lazy;
 
 /// Key of the prepared-plan cache: the snapshot generation the plan was
 /// compiled (or refreshed) over, plus [`QuerySpec::plan_key`] — the

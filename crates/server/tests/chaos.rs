@@ -12,7 +12,7 @@ use anyk_engine::EngineError;
 use anyk_server::faults::{self, FaultPlan, Trigger, SITES};
 use anyk_server::{
     Answer, Clock, GovernorConfig, ManualClock, OverloadReason, QueryService, ServiceConfig,
-    ServiceError, ServiceMetrics, SessionId, SessionState,
+    ServiceError, ServiceMetrics, SessionId, SessionState, DEFAULT_ALGORITHM,
 };
 use anyk_storage::{Database, DeltaBatch, Relation, Tuple};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
@@ -183,7 +183,7 @@ fn a_panicking_session_never_perturbs_its_neighbours() {
     let service = QueryService::new(wide_path_db(7));
     let one_shot: Vec<Answer> = {
         let prepared = service.prepare_text(WIDE_QUERY).unwrap();
-        prepared.enumerate(AnyKAlgorithm::Take2).collect()
+        prepared.enumerate(DEFAULT_ALGORITHM).collect()
     };
     assert!(one_shot.len() > 20, "enough answers to page through");
 

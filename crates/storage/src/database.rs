@@ -298,6 +298,12 @@ impl Database {
         self.index_cache.set_capacity(capacity);
     }
 
+    /// Drop every cached index and reset the cache's counters, keeping its
+    /// capacity: for a database whose indexes have served their one reader.
+    pub fn clear_index_cache(&mut self) {
+        self.index_cache = IndexCache::new(self.index_cache.capacity());
+    }
+
     /// The dictionary of column `col` of relation `name`, if that column is
     /// dictionary-encoded. Replacing the relation via [`Database::add`]
     /// swaps in the replacement's schema, so a handle obtained *before* the
@@ -531,6 +537,10 @@ mod tests {
         assert_eq!(after.entries, 2);
         assert_eq!(after.capacity, 8);
         assert!(after.hit_ratio() > 0.0);
+
+        db.clear_index_cache();
+        assert_eq!(db.cached_indexes(), 0);
+        assert_eq!(db.index_cache_capacity(), 8);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use anyk::core::AnyKAlgorithm;
 use anyk::datagen::{cycles, rng, text, uniform};
 use anyk::engine::{Answer, RankedQuery, RankingFunction};
 use anyk::query::{ConjunctiveQuery, QueryBuilder};
-use anyk::server::{QueryService, ServiceConfig, SessionId};
+use anyk::server::{QueryService, ServiceConfig, SessionId, DEFAULT_ALGORITHM};
 use anyk::storage::Database;
 
 /// Drain a session in pages of `page_size`, concatenating the pages.
@@ -235,12 +235,12 @@ fn text_sessions_decode_pages_like_one_shot_streams() {
     let ranked = RankedQuery::new(&db, &query).expect("plan");
     let decoder = ranked.decoder();
     let reference: Vec<Vec<String>> = ranked
-        .enumerate(AnyKAlgorithm::Take2)
+        .enumerate(DEFAULT_ALGORITHM)
         .map(|a| decoder.render(&a))
         .collect();
     assert!(!reference.is_empty());
 
-    let id = service.open_session(&query, AnyKAlgorithm::Take2).unwrap();
+    let id = service.open_session(&query, DEFAULT_ALGORITHM).unwrap();
     let session_decoder = service.decoder(id).unwrap();
     let mut rendered = Vec::new();
     loop {
