@@ -32,7 +32,7 @@
 //! recompile over the same post-edit data, reporting the refresh speedup.
 //!
 //! An `obs` scenario prices the observability layer itself: TT(1000) on the
-//! path-4 paged cursor with per-answer delay recording on versus off
+//! path-4 paged cursor with delay recording on versus off
 //! (`anyk_obs::set_recording`), interleaved best-of-N so thermal drift hits
 //! both sides equally. `overhead_pct` is the cost of leaving recording on —
 //! the budget is a few percent. The `net4` scenario additionally scrapes the
@@ -627,10 +627,11 @@ struct ObsRun {
 /// converge on their true floors).
 const OBS_REPEATS: usize = 25;
 
-/// `obs`: the price of leaving per-answer delay recording on. TT(`LIMIT`)
-/// through the paged cursor — the path that carries a [`DelayRecorder`]
-/// (one monotonic-clock read per answer into a local log-bucketed
-/// histogram) — measured with the process-wide switch on versus off,
+/// `obs`: the price of leaving delay recording on. TT(`LIMIT`) through the
+/// paged cursor — the path that carries a [`DelayRecorder`] (one
+/// monotonic-clock read per stride of answers and at each end of a page
+/// into a local log-bucketed histogram) — measured with the process-wide
+/// switch on versus off,
 /// interleaved so drift hits both sides equally. The "on" side's best run
 /// also reports the delay distribution it recorded: the observability
 /// layer measuring its own overhead run.

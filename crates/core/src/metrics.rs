@@ -9,8 +9,8 @@
 //! Time comes from the injectable [`anyk_obs::Clock`] — production traces
 //! use the monotonic default, tests hand in a
 //! [`ManualClock`](anyk_obs::ManualClock) and script exact delays. For
-//! *serving-path* delay measurement (per-answer recording inside a live
-//! cursor, flushed to shared per-plan histograms) see
+//! *serving-path* delay measurement (timed per stride of answers inside a
+//! live cursor, flushed to shared per-plan histograms) see
 //! [`anyk_obs::DelayRecorder`]; this trace keeps every emission time and so
 //! suits offline runs, not million-answer production sessions.
 

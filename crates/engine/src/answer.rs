@@ -10,16 +10,27 @@ use anyk_query::ConjunctiveQuery;
 use anyk_storage::{Database, Dictionary, TupleId, Value};
 use std::sync::Arc;
 
+/// Head values an [`Answer`] holds inline, without a heap allocation.
+const INLINE_VALUES: usize = 8;
+/// Witness entries an [`Answer`] holds inline, without a heap allocation.
+const INLINE_WITNESS: usize = 8;
+
 /// One ranked answer of a conjunctive query.
 ///
 /// An answer is an assignment of the query's head variables to values, its
 /// weight under the chosen [`crate::RankingFunction`], and (where available)
 /// the witness — the input tuples that joined to produce it (§2.1).
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Up to eight head values and eight witness entries are stored inside the
+/// answer itself (216 bytes in all); a longer run moves to the heap. So
+/// building, cloning and dropping the answer of a query with at most eight
+/// atoms and eight head variables allocates nothing. The storage is
+/// invisible to callers: equality and `Debug` see the slices.
+#[derive(Clone)]
 pub struct Answer {
     weight: f64,
-    values: Vec<Value>,
-    witness: Vec<(usize, TupleId)>,
+    values: InlineVec<Value, INLINE_VALUES>,
+    witness: InlineVec<(usize, TupleId), INLINE_WITNESS>,
 }
 
 impl Answer {
@@ -28,10 +39,20 @@ impl Answer {
     /// empty when the answer was produced through a decomposition whose
     /// derived relations do not correspond to single input tuples.
     pub fn new(weight: f64, values: Vec<Value>, witness: Vec<(usize, TupleId)>) -> Self {
+        Self::from_iters(weight, values.into_iter(), witness.into_iter())
+    }
+
+    /// Create an answer by draining two exact-length iterators, without
+    /// building an intermediate `Vec` when both fit inline.
+    pub fn from_iters(
+        weight: f64,
+        values: impl ExactSizeIterator<Item = Value>,
+        witness: impl ExactSizeIterator<Item = (usize, TupleId)>,
+    ) -> Self {
         Answer {
             weight,
-            values,
-            witness,
+            values: InlineVec::from_exact(values),
+            witness: InlineVec::from_exact(witness),
         }
     }
 
@@ -43,17 +64,64 @@ impl Answer {
     /// The head-variable values, aligned with
     /// [`anyk_query::ConjunctiveQuery::head_variables`].
     pub fn values(&self) -> &[Value] {
-        &self.values
+        self.values.as_slice()
     }
 
     /// The value bound to head variable position `idx`.
     pub fn value(&self, idx: usize) -> Value {
-        self.values[idx]
+        self.values()[idx]
     }
 
     /// The witness `(atom index, tuple id)` pairs, if available.
     pub fn witness(&self) -> &[(usize, TupleId)] {
-        &self.witness
+        self.witness.as_slice()
+    }
+}
+
+impl PartialEq for Answer {
+    fn eq(&self, other: &Self) -> bool {
+        self.weight == other.weight
+            && self.values() == other.values()
+            && self.witness() == other.witness()
+    }
+}
+
+impl std::fmt::Debug for Answer {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Answer")
+            .field("weight", &self.weight)
+            .field("values", &self.values())
+            .field("witness", &self.witness())
+            .finish()
+    }
+}
+
+/// Up to `N` elements in place, more on the heap.
+#[derive(Clone)]
+enum InlineVec<T, const N: usize> {
+    Inline { len: u8, buf: [T; N] },
+    Heap(Vec<T>),
+}
+
+impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
+    fn from_exact(items: impl ExactSizeIterator<Item = T>) -> Self {
+        if items.len() > N {
+            return InlineVec::Heap(items.collect());
+        }
+        let mut buf = [T::default(); N];
+        let mut len = 0u8;
+        for (slot, item) in buf.iter_mut().zip(items) {
+            *slot = item;
+            len += 1;
+        }
+        InlineVec::Inline { len, buf }
+    }
+
+    fn as_slice(&self) -> &[T] {
+        match self {
+            InlineVec::Inline { len, buf } => &buf[..*len as usize],
+            InlineVec::Heap(items) => items,
+        }
     }
 }
 
@@ -174,6 +242,49 @@ mod tests {
         assert_eq!(a.values(), &[1, 2, 3]);
         assert_eq!(a.value(2), 3);
         assert_eq!(a.witness(), &[(0, 7), (1, 9)]);
+    }
+
+    #[test]
+    fn inline_and_heap_storage_are_invisible() {
+        assert_eq!(
+            INLINE_VALUES, INLINE_WITNESS,
+            "the arities below probe both"
+        );
+        #[cfg(target_pointer_width = "64")]
+        assert_eq!(std::mem::size_of::<Answer>(), 216, "as the type doc says");
+        for n in [0, INLINE_VALUES, INLINE_VALUES + 1, 64] {
+            let values: Vec<Value> = (0..n as u64).map(|v| v * 3).collect();
+            let witness: Vec<(usize, TupleId)> = (0..n).map(|i| (i, i + 100)).collect();
+            let a = Answer::new(1.5, values.clone(), witness.clone());
+            assert_eq!(matches!(a.values, InlineVec::Heap(_)), n > INLINE_VALUES);
+            assert_eq!(matches!(a.witness, InlineVec::Heap(_)), n > INLINE_WITNESS);
+
+            assert_eq!(a.weight(), 1.5);
+            assert_eq!(a.values(), &values[..]);
+            assert_eq!(a.witness(), &witness[..]);
+            if n > 0 {
+                assert_eq!(a.value(n - 1), values[n - 1]);
+            }
+            let b = Answer::from_iters(1.5, values.iter().copied(), witness.iter().copied());
+            assert_eq!(a, b, "arity {n}");
+            assert_eq!(a.clone(), a);
+            assert_ne!(a, Answer::new(2.5, values.clone(), witness.clone()));
+
+            // The same content forced onto the heap compares equal.
+            let heap = Answer {
+                weight: 1.5,
+                values: InlineVec::Heap(values.clone()),
+                witness: InlineVec::Heap(witness.clone()),
+            };
+            assert_eq!(heap, a, "arity {n}");
+            assert_eq!(a, heap, "arity {n}");
+
+            // `Debug` reads exactly as the derived `Vec`-backed form did.
+            assert_eq!(
+                format!("{a:?}"),
+                format!("Answer {{ weight: 1.5, values: {values:?}, witness: {witness:?} }}")
+            );
+        }
     }
 
     #[test]

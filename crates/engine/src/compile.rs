@@ -400,14 +400,14 @@ impl<D: Dioid<V = OrderedF64>> Compiled<D> {
         solution: &Solution<D>,
         decode: impl Fn(f64) -> f64,
     ) -> Answer {
-        Assembler::new(self, db).assemble(solution, decode(solution.weight.get()))
+        Assembler::new(self, db).assemble(&solution.states, decode(solution.weight.get()))
     }
 }
 
 /// Answer assembly for one stream: every head value resolved, once, to the
 /// serial position whose state's payload is the tuple id and the column that
-/// holds the value. An answer then costs one values `Vec` (and its witness,
-/// when kept), with no relation lookup by name.
+/// holds the value. An answer is then filled in place, with no relation
+/// lookup by name and (within [`Answer`]'s inline capacity) no allocation.
 pub(crate) struct Assembler<'s, D: Dioid<V = OrderedF64>> {
     compiled: &'s Compiled<D>,
     /// Per answer value: (serial position, column of the tuple it reads).
@@ -445,26 +445,24 @@ impl<'s, D: Dioid<V = OrderedF64>> Assembler<'s, D> {
         }
     }
 
-    /// The answer of `solution`, with the user-facing `weight`.
-    pub(crate) fn assemble(&self, solution: &Solution<D>, weight: f64) -> Answer {
+    /// The answer of a solution's `states` (serial order), with the
+    /// user-facing `weight`.
+    pub(crate) fn assemble(&self, states: &[NodeId], weight: f64) -> Answer {
         let instance = &self.compiled.instance;
-        let tuple = |pos: usize| instance.payload(solution.states[pos]) as usize;
-        let values = self
-            .columns
-            .iter()
-            .map(|&(pos, col)| col[tuple(pos)])
-            .collect();
-        let witness = if self.witness {
-            let c = self.compiled;
-            c.output_atoms
-                .iter()
-                .zip(&c.output_positions)
-                .map(|(&atom, &pos)| (atom, tuple(pos)))
-                .collect()
+        let tuple = |pos: usize| instance.payload(states[pos]) as usize;
+        let values = self.columns.iter().map(|&(pos, col)| col[tuple(pos)]);
+        let c = self.compiled;
+        // A cycle tree keeps no witness: an empty zip, not a second path.
+        let kept = if self.witness {
+            c.output_atoms.len()
         } else {
-            Vec::new()
+            0
         };
-        Answer::new(weight, values, witness)
+        let witness = c.output_atoms[..kept]
+            .iter()
+            .zip(&c.output_positions)
+            .map(|(&atom, &pos)| (atom, tuple(pos)));
+        Answer::from_iters(weight, values, witness)
     }
 }
 

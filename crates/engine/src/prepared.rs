@@ -345,8 +345,10 @@ pub struct Page {
 /// heap for `Recursive` / cycle plans) — plus an `Arc` on the prepared query
 /// that keeps the compiled plan alive. Between [`AnswerCursor::next_page`]
 /// calls the iterator simply sits in memory: suspension and resumption are
-/// free, involve no per-page allocation beyond the returned answers (none at
-/// all with [`AnswerCursor::next_page_into`]), and cannot change the stream.
+/// free and cannot change the stream. A page allocates its `Vec` of answers
+/// (nothing, with [`AnswerCursor::next_page_into`] and a reused buffer); an
+/// answer itself allocates only its core solution's state vector, since
+/// [`Answer`] stores up to eight values and witness entries inline.
 ///
 /// `Send`: a suspended cursor may migrate across threads (e.g. live in a
 /// session registry served by a thread pool).
@@ -364,10 +366,11 @@ pub struct AnswerCursor {
     cancel: CancellationToken,
     /// Set once a page pull observed the tripped token and stopped early.
     cancelled: bool,
-    /// Per-answer delay instrumentation (`None` when recording is switched
-    /// off, see [`anyk_obs::set_recording`]): one clock read plus a few
-    /// plain integer adds per answer, flushed to shared per-plan histograms
-    /// at page boundaries.
+    /// Delay instrumentation (`None` when recording is switched off, see
+    /// [`anyk_obs::set_recording`]): a counter increment per answer, one
+    /// clock read per stride of [`anyk_obs::record::STRIDE`] answers and
+    /// at each end of a page pull, flushed to shared per-plan histograms at
+    /// page boundaries.
     recorder: Option<Box<DelayRecorder>>,
     owner: Arc<PreparedQuery>,
 }
@@ -458,10 +461,13 @@ impl AnswerCursor {
             anyk_obs::recording_enabled().then(|| Box::new(DelayRecorder::new(clock, plan)));
     }
 
-    /// The per-answer delay distribution recorded so far, in the shared
-    /// log-bucketed histogram type (the first answer's delay is its TTF,
-    /// matching [`anyk_core::metrics::EnumerationTrace`] semantics). `None`
-    /// when recording is switched off.
+    /// The inter-answer delay distribution recorded so far, one sample per
+    /// answer served, in the shared log-bucketed histogram type (the first
+    /// answer's delay is its TTF, matching
+    /// [`anyk_core::metrics::EnumerationTrace`] semantics; a pull's first
+    /// delay counts from the start of that pull). Answers are timed per
+    /// stride, so the count and sum are exact and the percentiles are those
+    /// of stride means. `None` when recording is switched off.
     pub fn delay_histogram(&self) -> Option<HistogramSnapshot> {
         self.recorder.as_deref().map(DelayRecorder::delays)
     }
@@ -492,6 +498,9 @@ impl AnswerCursor {
             Some(r) => page_size.min(r),
             None => page_size,
         };
+        if let Some(r) = self.recorder.as_deref_mut() {
+            r.begin_page();
+        }
         while out.len() < quota {
             if self.cancel.is_cancelled() {
                 self.cancelled = true;
@@ -519,10 +528,10 @@ impl AnswerCursor {
             }
         }
         self.served += out.len();
-        // Page boundary: push this page's delay counts to the shared
-        // per-plan histograms (cold path; no-op without a plan sink).
+        // Page boundary: book the open stride and push this page's delay
+        // counts to the shared per-plan histograms.
         if let Some(r) = self.recorder.as_deref_mut() {
-            r.flush();
+            r.end_page();
         }
         self.done
     }
@@ -685,6 +694,74 @@ mod tests {
         let shared = plan.delay.snapshot();
         assert_eq!(shared.count(), 3);
         assert_eq!(shared.sum(), 5_000_000);
+    }
+
+    #[test]
+    fn a_pulls_first_delay_counts_from_the_pull() {
+        use anyk_obs::ManualClock;
+        use std::time::Duration;
+
+        let p = prepared();
+        let clock = Arc::new(ManualClock::new());
+        let plan = Arc::new(PlanObs::default());
+        let mut cursor = p.cursor(AnyKAlgorithm::Lazy);
+        cursor.enable_recording(clock.clone() as Arc<dyn Clock>, Some(Arc::clone(&plan)));
+
+        clock.advance(Duration::from_millis(5));
+        assert_eq!(cursor.next_page(1).answers.len(), 1);
+        // Client think time plus a round trip between the two pulls.
+        clock.advance(Duration::from_millis(7));
+        assert_eq!(cursor.next_page(10).answers.len(), 2);
+
+        assert_eq!(cursor.ttf_nanos(), Some(5_000_000), "TTF is unchanged");
+        for d in [cursor.delay_histogram().unwrap(), plan.delay.snapshot()] {
+            assert_eq!(d.count(), cursor.served() as u64);
+            assert!(d.max() < 7_000_000, "the gap between pulls is no delay");
+            assert_eq!(d.sum(), 5_000_000);
+        }
+    }
+
+    #[test]
+    fn recording_reads_the_clock_per_stride_not_per_answer() {
+        use std::sync::atomic::AtomicU64;
+
+        /// A clock that ticks once per read, so its reading is its count.
+        #[derive(Debug, Default)]
+        struct CountingClock(AtomicU64);
+        impl Clock for CountingClock {
+            fn now_nanos(&self) -> u64 {
+                self.0.fetch_add(1, Ordering::Relaxed)
+            }
+        }
+
+        // 40 × 40 answers through one join value.
+        let mut db = Database::new();
+        let mut r1 = Relation::new("R1", 2);
+        let mut r2 = Relation::new("R2", 2);
+        for i in 0..40 {
+            r1.push_edge(i, 0, i as f64);
+            r2.push_edge(0, i, i as f64 * 40.0);
+        }
+        db.add(r1);
+        db.add(r2);
+        let query = QueryBuilder::path(2).build();
+        let p = Arc::new(PreparedQuery::new(Arc::new(db), &query).unwrap());
+
+        let clock = Arc::new(CountingClock::default());
+        let mut cursor = p.cursor(AnyKAlgorithm::Lazy);
+        cursor.enable_recording(clock.clone() as Arc<dyn Clock>, None);
+        let (answers, pages) = (1000, 10);
+        for _ in 0..pages {
+            assert_eq!(
+                cursor.next_page(answers / pages).answers.len(),
+                answers / pages
+            );
+        }
+        let stride = anyk_obs::record::STRIDE as usize;
+        let bound = answers.div_ceil(stride) + 2 * pages + 1;
+        let reads = clock.0.load(Ordering::Relaxed) as usize;
+        assert!(reads <= bound, "{reads} clock reads, bound {bound}");
+        assert_eq!(cursor.delay_histogram().unwrap().count(), answers as u64);
     }
 
     #[test]

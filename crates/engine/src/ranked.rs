@@ -5,6 +5,7 @@ use crate::compile::{Assembler, Compiled};
 use crate::cycle;
 use crate::error::EngineError;
 use anyk_core::dioid::{Dioid, MinMaxDioid, OrderedF64, TropicalMin};
+use anyk_core::tdp::NodeId;
 use anyk_core::{
     ranked_enumerate, AnyKAlgorithm, AnyKPart, MemoryStats, RankedIter, SuccessorKind,
     UnionEnumerator,
@@ -100,7 +101,7 @@ impl<D: Dioid<V = OrderedF64>> Iterator for AssembleStream<'_, D> {
     fn next(&mut self) -> Option<Answer> {
         let sol = self.inner.next()?;
         let weight = self.ranking.decode(sol.weight.get());
-        Some(self.assembler.assemble(&sol, weight))
+        Some(self.assembler.assemble(&sol.states, weight))
     }
 }
 
@@ -111,33 +112,39 @@ impl<D: Dioid<V = OrderedF64>> AnswerStream for AssembleStream<'_, D> {
 }
 
 /// One source of a cycle-union stream: a decomposition tree's ranked
-/// solutions assembled into `(encoded weight, answer)` pairs with the head
-/// values in the original query's head order. Witnesses reference bag
-/// tuples, not original input tuples, so none are kept.
+/// solutions as `(encoded weight, (tree index, states))`. The union moves
+/// these small items through its heap and assembles only the answer it
+/// emits.
 struct TreeSource<'s, D: Dioid<V = OrderedF64>> {
     inner: RankedIter<'s, D>,
-    assembler: Assembler<'s, D>,
-    ranking: RankingFunction,
+    tree: usize,
 }
 
 impl<D: Dioid<V = OrderedF64>> Iterator for TreeSource<'_, D> {
-    type Item = (OrderedF64, Answer);
+    type Item = (OrderedF64, (usize, Vec<NodeId>));
     fn next(&mut self) -> Option<Self::Item> {
         let sol = self.inner.next()?;
-        let weight = self.ranking.decode(sol.weight.get());
-        Some((sol.weight, self.assembler.assemble(&sol, weight)))
+        Some((sol.weight, (self.tree, sol.states)))
     }
 }
 
-/// Cycle plan stream: the ranked union over the decomposition trees.
+/// Cycle plan stream: the ranked union over the decomposition trees, each
+/// tree's answers assembled with the head values in the original query's
+/// head order. Witnesses reference bag tuples, not original input tuples,
+/// so none are kept.
 struct CycleStream<'s, D: Dioid<V = OrderedF64>> {
-    union: UnionEnumerator<OrderedF64, Answer, TreeSource<'s, D>>,
+    union: UnionEnumerator<OrderedF64, (usize, Vec<NodeId>), TreeSource<'s, D>>,
+    /// One per tree, indexed by [`TreeSource::tree`].
+    assemblers: Vec<Assembler<'s, D>>,
+    ranking: RankingFunction,
 }
 
 impl<D: Dioid<V = OrderedF64>> Iterator for CycleStream<'_, D> {
     type Item = Answer;
     fn next(&mut self) -> Option<Answer> {
-        self.union.next().map(|(_, ans)| ans)
+        let (key, (tree, states)) = self.union.next()?;
+        let weight = self.ranking.decode(key.get());
+        Some(self.assemblers[tree].assemble(&states, weight))
     }
 }
 
@@ -433,14 +440,20 @@ impl Plan {
         // disjoint (§5.3.1), so the union needs no duplicate elimination.
         let sources: Vec<TreeSource<'s, D>> = trees
             .iter()
-            .map(|tree| TreeSource {
-                inner: ranked_enumerate(&tree.compiled.instance, algorithm),
-                assembler: Assembler::new(&tree.compiled, &tree.database).permuted(&tree.head_perm),
-                ranking,
+            .enumerate()
+            .map(|(tree, plan)| TreeSource {
+                inner: ranked_enumerate(&plan.compiled.instance, algorithm),
+                tree,
             })
+            .collect();
+        let assemblers = trees
+            .iter()
+            .map(|plan| Assembler::new(&plan.compiled, &plan.database).permuted(&plan.head_perm))
             .collect();
         Box::new(CycleStream {
             union: UnionEnumerator::new(sources),
+            assemblers,
+            ranking,
         })
     }
 }

@@ -16,7 +16,7 @@
 //!   histogram.
 //! * [`LocalHistogram`] — plain `u64`s for single-threaded recorders (the
 //!   per-cursor delay recorder), where even relaxed atomics would be wasted
-//!   work on the per-answer hot path.
+//!   work on the enumeration hot path.
 //!
 //! Both produce a [`HistogramSnapshot`], which is mergeable (bucket-wise
 //! addition — associative and commutative) and answers percentile queries.
@@ -181,8 +181,7 @@ impl LocalHistogram {
         }
     }
 
-    /// Record one sample. A handful of plain integer ops — this is the
-    /// per-answer hot path of the delay recorder.
+    /// Record one sample. A handful of plain integer ops.
     #[inline]
     pub fn record(&mut self, value: u64) {
         self.buckets[bucket_index(value)] += 1;
@@ -192,6 +191,23 @@ impl LocalHistogram {
         self.sum = self.sum.wrapping_add(value);
         if value > self.max {
             self.max = value;
+        }
+    }
+
+    /// Record `n` samples that together took `total`, each as their mean:
+    /// the count and the sum stay exact, the buckets and the max see the
+    /// mean. This is how the delay recorder books a stride of answers it
+    /// timed with one clock read. `n = 0` records nothing.
+    #[inline]
+    pub fn record_spread(&mut self, total: u64, n: u64) {
+        let Some(mean) = total.checked_div(n) else {
+            return;
+        };
+        self.buckets[bucket_index(mean)] += n;
+        self.count += n;
+        self.sum = self.sum.wrapping_add(total);
+        if mean > self.max {
+            self.max = mean;
         }
     }
 
@@ -420,6 +436,24 @@ mod tests {
             local.record(v);
         }
         assert_eq!(atomic.snapshot(), local.snapshot());
+    }
+
+    #[test]
+    fn spread_keeps_count_and_sum_exact() {
+        let mut spread = LocalHistogram::new();
+        spread.record_spread(1_000, 3); // mean 333, remainder 1 kept in the sum
+        spread.record_spread(5, 0); // nothing to spread over
+        spread.record_spread(64, 1); // one sample is itself
+        let s = spread.snapshot();
+        assert_eq!(s.count(), 4);
+        assert_eq!(s.sum(), 1_064);
+        assert_eq!(s.max(), 333);
+        let mut each = LocalHistogram::new();
+        for v in [333, 333, 333, 64] {
+            each.record(v);
+        }
+        assert_eq!(s.p50(), each.snapshot().p50());
+        assert_eq!(s.p99(), each.snapshot().p99());
     }
 
     #[test]

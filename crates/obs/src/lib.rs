@@ -18,9 +18,9 @@
 //! * [`ring`] — bounded per-session [`EventRing`]s of lifecycle events for
 //!   post-mortem dumps.
 //! * [`record`] — the per-cursor [`DelayRecorder`] (one [`Clock`] read per
-//!   answer, plain integer adds, flushed to shared per-plan histograms at
-//!   page boundaries) and the process-wide recording switch
-//!   ([`set_recording`]).
+//!   stride of answers and at each end of a page pull, plain integer adds,
+//!   flushed to shared per-plan histograms at page boundaries) and the
+//!   process-wide recording switch ([`set_recording`]).
 //!
 //! The injectable [`Clock`] (production [`MonotonicClock`], hand-cranked
 //! [`ManualClock`] for deterministic tests) lives here too, re-exported by

@@ -1,13 +1,23 @@
 //! Per-cursor delay recording and the per-plan distribution registry.
 //!
 //! The paper's guarantees are *per answer*: TTF, TT(k), and bounded delay
-//! between consecutive results. [`DelayRecorder`] measures exactly that at
-//! the engine's expansion loop: one [`Clock`] read per answer plus a few
-//! plain integer adds into a cursor-local [`LocalHistogram`] — no atomics,
-//! no allocation, no locks on the hot path. At page boundaries (and on
-//! drop) the recorder *flushes* the increment since the last flush into the
-//! shared, atomic per-plan histograms ([`PlanObs`]), so service-wide stats
-//! stay fresh without taxing the loop.
+//! between consecutive results. [`DelayRecorder`] measures them at the
+//! engine's expansion loop at a cost the loop does not notice: the first
+//! answer is stamped on its own (so TTF is exact), and after it the clock is
+//! read once per stride of [`STRIDE`] answers and once at each end of a
+//! page pull. A stride's gap is spread evenly over its answers
+//! ([`LocalHistogram::record_spread`]), so the delay count and sum stay
+//! exact while the percentiles and the max are those of stride means. Per
+//! answer the loop pays one counter increment — no atomics, no allocation,
+//! no locks. At page boundaries (and on drop) the recorder *flushes* the
+//! increment since the last flush into the shared, atomic per-plan
+//! histograms ([`PlanObs`]), so service-wide stats stay fresh without
+//! taxing the loop.
+//!
+//! A pull's first delay counts from the start of that pull
+//! ([`DelayRecorder::begin_page`]), not from the previous pull's last
+//! answer, so client think time and round trips between pages stay out of
+//! the delay distribution.
 //!
 //! Recording is gated by a process-wide runtime switch
 //! ([`set_recording`] / [`recording_enabled`]), the knob the overhead
@@ -22,7 +32,10 @@ use crate::Clock;
 
 static RECORDING: AtomicBool = AtomicBool::new(true);
 
-/// Turn per-answer delay recording and phase spans on or off process-wide.
+/// Answers per clock read in a [`DelayRecorder`] after the first answer.
+pub const STRIDE: u64 = 32;
+
+/// Turn delay recording and phase spans on or off process-wide.
 /// Takes effect for cursors opened (and spans started) after the call.
 pub fn set_recording(on: bool) {
     RECORDING.store(on, Ordering::Relaxed);
@@ -39,8 +52,11 @@ pub fn recording_enabled() -> bool {
 pub struct PlanObs {
     /// Time-to-first-answer per session (nanoseconds).
     pub ttf: LatencyHistogram,
-    /// Delay between consecutive answers (nanoseconds; the first answer's
-    /// delay is its TTF, matching `EnumerationTrace` semantics).
+    /// Delay between consecutive answers within a page pull (nanoseconds;
+    /// the first answer's delay is its TTF, matching `EnumerationTrace`
+    /// semantics). One sample per answer served, timed per stride of
+    /// [`STRIDE`] answers: the count and sum are exact, the percentiles and
+    /// the max are those of stride means.
     pub delay: LatencyHistogram,
     /// Wall time of one `next_page` service call (nanoseconds).
     pub page: LatencyHistogram,
@@ -122,17 +138,22 @@ impl PlanRegistry {
     }
 }
 
-/// Measures per-answer delay and TTF for one cursor.
+/// Measures inter-answer delay and TTF for one cursor.
 ///
 /// Owned by the cursor (single-threaded); [`DelayRecorder::observe_answer`]
-/// is the only hot call. A recorder optionally carries an `Arc<PlanObs>` —
-/// the plan-wide sink its local counts are flushed into.
+/// is the only hot call, bracketed per page pull by
+/// [`DelayRecorder::begin_page`] and [`DelayRecorder::end_page`]. A recorder
+/// optionally carries an `Arc<PlanObs>` — the plan-wide sink its local
+/// counts are flushed into.
 #[derive(Debug)]
 pub struct DelayRecorder {
     clock: Arc<dyn Clock>,
     plan: Option<Arc<PlanObs>>,
     opened: u64,
+    /// The reference point of the current stride: the last clock read.
     last: u64,
+    /// Answers observed since `last` and not yet booked.
+    pending: u64,
     ttf: Option<u64>,
     local: LocalHistogram,
     /// Flush bookkeeping: per-bucket counts already pushed to `plan`.
@@ -155,6 +176,7 @@ impl DelayRecorder {
             plan,
             opened,
             last: opened,
+            pending: 0,
             ttf: None,
             local: LocalHistogram::new(),
             flushed_buckets,
@@ -164,23 +186,53 @@ impl DelayRecorder {
         }
     }
 
-    /// Record one produced answer: one clock read plus a handful of plain
-    /// integer ops. The first answer's delay doubles as the TTF.
-    #[inline]
-    pub fn observe_answer(&mut self) {
-        let now = self.clock.now_nanos();
-        let gap = now.saturating_sub(self.last);
-        self.last = now;
-        if self.ttf.is_none() {
-            self.ttf = Some(now.saturating_sub(self.opened));
+    /// A page pull starts: once the first answer has been seen, the next
+    /// delay counts from now, so the time between pulls is not a delay.
+    pub fn begin_page(&mut self) {
+        if self.ttf.is_some() {
+            self.last = self.clock.now_nanos();
         }
-        self.local.record(gap);
     }
 
-    /// Push everything recorded since the previous flush into the plan's
-    /// shared histograms. Cold path: call at page boundaries. No-op without
-    /// a plan sink.
-    pub fn flush(&mut self) {
+    /// Record one produced answer. The first answer reads the clock, and
+    /// its delay doubles as the TTF; after it, the clock is read once per
+    /// [`STRIDE`] answers and the stride's gap is spread over them.
+    #[inline]
+    pub fn observe_answer(&mut self) {
+        if self.ttf.is_none() {
+            let now = self.clock.now_nanos();
+            self.ttf = Some(now.saturating_sub(self.opened));
+            self.local.record(now.saturating_sub(self.last));
+            self.last = now;
+            return;
+        }
+        self.pending += 1;
+        if self.pending == STRIDE {
+            self.stamp();
+        }
+    }
+
+    /// Book the pending answers: one clock read, their gap spread evenly.
+    fn stamp(&mut self) {
+        let now = self.clock.now_nanos();
+        self.local
+            .record_spread(now.saturating_sub(self.last), self.pending);
+        self.last = now;
+        self.pending = 0;
+    }
+
+    /// A page pull ends: book a partial stride, then [`flush`](Self::flush).
+    pub fn end_page(&mut self) {
+        if self.pending > 0 {
+            self.stamp();
+        }
+        self.flush();
+    }
+
+    /// Push everything booked since the previous flush into the plan's
+    /// shared histograms. Cold path, reads no clock. No-op without a plan
+    /// sink.
+    fn flush(&mut self) {
         let (Some(plan), Some(marks)) = (self.plan.as_deref(), self.flushed_buckets.as_deref_mut())
         else {
             return;
@@ -216,8 +268,9 @@ impl DelayRecorder {
         }
     }
 
-    /// The cursor-local delay distribution recorded so far (the first
-    /// answer's delay is its TTF, matching `EnumerationTrace`).
+    /// The cursor-local delay distribution booked so far (the first
+    /// answer's delay is its TTF, matching `EnumerationTrace`). Answers of a
+    /// stride still open are booked at [`DelayRecorder::end_page`].
     pub fn delays(&self) -> HistogramSnapshot {
         self.local.snapshot()
     }
@@ -227,15 +280,15 @@ impl DelayRecorder {
         self.ttf
     }
 
-    /// Answers observed so far.
+    /// Answers observed so far, booked or not.
     pub fn answers(&self) -> u64 {
-        self.local.count()
+        self.local.count() + self.pending
     }
 }
 
 impl Drop for DelayRecorder {
     fn drop(&mut self) {
-        self.flush();
+        self.end_page();
     }
 }
 
@@ -249,18 +302,34 @@ mod tests {
     fn recorder_measures_exact_gaps_on_manual_clock() {
         let clock = Arc::new(ManualClock::new());
         let mut r = DelayRecorder::new(clock.clone() as Arc<dyn Clock>, None);
+        r.begin_page();
         clock.advance(Duration::from_micros(5));
-        r.observe_answer(); // ttf = 5µs, first delay = 5µs
-        clock.advance(Duration::from_micros(3));
-        r.observe_answer(); // delay = 3µs
+        r.observe_answer(); // ttf = 5µs, first delay = 5µs, stamped alone
+        assert_eq!(r.delays().count(), 1);
+        // A stride and a half at 3µs each, then a 9µs gap: the full stride
+        // is booked when it closes, the rest when the page ends.
+        let n = STRIDE + STRIDE / 2;
+        for _ in 0..n {
+            clock.advance(Duration::from_micros(3));
+            r.observe_answer();
+        }
         clock.advance(Duration::from_micros(9));
-        r.observe_answer(); // delay = 9µs
+        r.observe_answer();
+        assert_eq!(r.delays().count(), 1 + STRIDE, "one stride booked");
+        assert_eq!(r.answers(), n + 2, "pending answers are still counted");
+        r.end_page();
+
         assert_eq!(r.ttf_nanos(), Some(5_000));
-        assert_eq!(r.answers(), 3);
+        assert_eq!(r.answers(), n + 2);
         let d = r.delays();
-        assert_eq!(d.count(), 3);
-        assert_eq!(d.sum(), 17_000);
-        assert_eq!(d.max(), 9_000);
+        assert_eq!(d.count(), n + 2);
+        assert_eq!(d.sum(), 5_000 + 3_000 * n + 9_000, "sum is exact");
+        assert_eq!(d.max(), 5_000, "the TTF; the 9µs gap is spread");
+        assert_eq!(
+            crate::hist::bucket_index(d.p50()),
+            crate::hist::bucket_index(3_000),
+            "a full stride's mean"
+        );
     }
 
     #[test]
@@ -268,17 +337,39 @@ mod tests {
         let clock = Arc::new(ManualClock::new());
         let plan = Arc::new(PlanObs::default());
         let mut r = DelayRecorder::new(clock.clone() as Arc<dyn Clock>, Some(Arc::clone(&plan)));
-        clock.advance(Duration::from_micros(1));
+        let us = Duration::from_micros;
+        r.begin_page();
+        clock.advance(us(1));
         r.observe_answer();
-        r.flush();
-        clock.advance(Duration::from_micros(2));
+        r.end_page();
+        assert_eq!(plan.delay.snapshot().count(), 1);
+        assert_eq!(plan.ttf.snapshot().count(), 1);
+
+        r.begin_page();
+        clock.advance(us(2));
         r.observe_answer();
-        r.flush();
+        r.end_page();
         r.flush(); // idempotent when nothing new happened
-        drop(r); // drop flushes too — still no double counting
+        r.end_page(); // so is an empty page end
         let delay = plan.delay.snapshot();
-        assert_eq!(delay.count(), 2);
-        assert_eq!(delay.sum(), 3_000);
+        assert_eq!((delay.count(), delay.sum()), (2, 3_000));
+
+        // A page longer than a stride, flushed in increments.
+        r.begin_page();
+        for _ in 0..STRIDE + 3 {
+            clock.advance(us(1));
+            r.observe_answer();
+        }
+        r.flush(); // the closed stride only
+        let delay = plan.delay.snapshot();
+        assert_eq!(
+            (delay.count(), delay.sum()),
+            (2 + STRIDE, 3_000 + 1_000 * STRIDE)
+        );
+        drop(r); // drop ends the page — still no double counting
+        let delay = plan.delay.snapshot();
+        assert_eq!(delay.count(), 2 + STRIDE + 3);
+        assert_eq!(delay.sum(), 3_000 + 1_000 * (STRIDE + 3));
         assert_eq!(plan.ttf.snapshot().count(), 1, "TTF recorded exactly once");
     }
 

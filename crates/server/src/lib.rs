@@ -264,11 +264,18 @@
 //! those quantities in production, cheaply enough to leave on:
 //!
 //! * **Delay histograms** — every cursor carries a
-//!   [`DelayRecorder`](anyk_obs::DelayRecorder): one monotonic-clock read
-//!   per answer into a cursor-local, allocation-free log-bucketed histogram
-//!   (~2.5 % relative error), flushed into shared lock-free per-plan
-//!   atomics at page boundaries. The per-plan distributions — TTF,
-//!   inter-answer delay, and page service latency, keyed by
+//!   [`DelayRecorder`](anyk_obs::DelayRecorder) feeding a cursor-local,
+//!   allocation-free log-bucketed histogram (~2.5 % relative error),
+//!   flushed into shared lock-free per-plan atomics at page boundaries. The
+//!   first answer is stamped alone, so TTF is exact; after it the
+//!   monotonic clock is read once per stride of
+//!   [`STRIDE`](anyk_obs::record::STRIDE) answers and once at each end of a
+//!   page pull, and a stride's gap is spread over its answers. There is one
+//!   delay sample per answer served, with an exact count and sum; the
+//!   percentiles and the max are those of stride means. A pull's first
+//!   delay counts from the start of that pull, so client think time and
+//!   round trips between pages are not delays. The per-plan distributions
+//!   — TTF, inter-answer delay, and page service latency, keyed by
 //!   [`QuerySpec::plan_key`] — are what
 //!   [`QueryService::stats_snapshot`] reports as [`PlanSummaries`], for at
 //!   most [`ServiceConfig::plan_cache_capacity`] plans (a key the plan
@@ -302,7 +309,7 @@
 //!   one consistent generation. [`StatsSnapshot::render_prometheus`] turns
 //!   a snapshot into the Prometheus text format for scrape-style pipelines.
 //! * **The recording switch** — [`set_recording`]`(false)` turns the
-//!   per-answer clock reads and histogram stores off process-wide (session
+//!   delay clock reads and histogram stores off process-wide (session
 //!   event rings and plain counters stay on). The overhead benchmark keeps
 //!   recording honest: enabled-vs-disabled on the hot path must stay within
 //!   a few percent.

@@ -459,21 +459,33 @@ fn encode_answer(buf: &mut Vec<u8>, a: &Answer) {
     }
 }
 
+/// A `Page` payload: `u8` done, `u32` count, count × answer. The one page
+/// encoder, for [`Response::Page`] and for a page borrowed from a buffer.
+fn encode_page(buf: &mut Vec<u8>, done: bool, answers: &[Answer]) {
+    buf.push(done as u8);
+    put_u32(buf, answers.len() as u32);
+    for a in answers {
+        encode_answer(buf, a);
+    }
+}
+
+/// Decode one answer, taking its value run and its witness run with one
+/// bounds check each.
 fn decode_answer(r: &mut PayloadReader<'_>) -> Result<Answer, WireError> {
     let weight = f64::from_bits(r.u64()?);
     let arity = r.u16()? as usize;
-    let mut values = Vec::with_capacity(arity);
-    for _ in 0..arity {
-        values.push(r.u64()?);
-    }
+    let values = r.take(arity * 8)?;
     let nwitness = r.u16()? as usize;
-    let mut witness = Vec::with_capacity(nwitness);
-    for _ in 0..nwitness {
-        let atom = r.u32()? as usize;
-        let tuple = r.u64()? as usize;
-        witness.push((atom, tuple));
-    }
-    Ok(Answer::new(weight, values, witness))
+    let witness = r.take(nwitness * 12)?;
+    let be_u64 = |b: &[u8]| u64::from_be_bytes(b.try_into().unwrap());
+    Ok(Answer::from_iters(
+        weight,
+        values.chunks_exact(8).map(be_u64),
+        witness.chunks_exact(12).map(|w| {
+            let atom = u32::from_be_bytes(w[..4].try_into().unwrap());
+            (atom as usize, be_u64(&w[4..]) as usize)
+        }),
+    ))
 }
 
 fn encode_batch(buf: &mut Vec<u8>, batch: &DeltaBatch) {
@@ -720,13 +732,7 @@ impl Response {
             Response::Pong | Response::Cancelled | Response::Err(WireError::ShuttingDown) => {}
             Response::Prepared(key) => buf.extend_from_slice(key.as_bytes()),
             Response::SessionOpened(id) => put_u64(buf, *id),
-            Response::Page(page) => {
-                buf.push(page.done as u8);
-                put_u32(buf, page.answers.len() as u32);
-                for a in &page.answers {
-                    encode_answer(buf, a);
-                }
-            }
+            Response::Page(page) => encode_page(buf, page.done, &page.answers),
             Response::Closed { existed } => buf.push(*existed as u8),
             Response::Ingested(generation) => put_u64(buf, *generation),
             Response::Stats(stats) => encode_stats(buf, stats),
@@ -994,20 +1000,48 @@ pub(crate) fn write_frame(stream: &mut impl Write, frame: &[u8]) -> io::Result<(
     stream.flush()
 }
 
+/// Encode one frame of kind `kind` into `scratch` (header + payload), the
+/// payload written by `fill` into `payload_buf`; both reuse their
+/// allocations.
+fn encode_frame_with(
+    scratch: &mut Vec<u8>,
+    payload_buf: &mut Vec<u8>,
+    kind: u8,
+    fill: impl FnOnce(&mut Vec<u8>),
+) {
+    payload_buf.clear();
+    fill(payload_buf);
+    encode_frame_into(scratch, kind, payload_buf);
+}
+
 /// Encode a [`Request`] into `scratch` (header + payload), reusing its
 /// allocation.
 pub(crate) fn encode_request(scratch: &mut Vec<u8>, payload_buf: &mut Vec<u8>, req: &Request) {
-    payload_buf.clear();
-    req.encode_payload(payload_buf);
-    encode_frame_into(scratch, req.opcode() as u8, payload_buf);
+    encode_frame_with(scratch, payload_buf, req.opcode() as u8, |buf| {
+        req.encode_payload(buf)
+    });
 }
 
 /// Encode a [`Response`] into `scratch` (header + payload), reusing its
 /// allocation.
 pub(crate) fn encode_response(scratch: &mut Vec<u8>, payload_buf: &mut Vec<u8>, resp: &Response) {
-    payload_buf.clear();
-    resp.encode_payload(payload_buf);
-    encode_frame_into(scratch, resp.status() as u8, payload_buf);
+    encode_frame_with(scratch, payload_buf, resp.status() as u8, |buf| {
+        resp.encode_payload(buf)
+    });
+}
+
+/// Encode a `Page` response over borrowed `answers` into `scratch`: the
+/// frame [`encode_response`] writes for [`Response::Page`], without owning
+/// the page.
+pub(crate) fn encode_page_response(
+    scratch: &mut Vec<u8>,
+    payload_buf: &mut Vec<u8>,
+    done: bool,
+    answers: &[Answer],
+) {
+    encode_frame_with(scratch, payload_buf, StatusCode::Page as u8, |buf| {
+        encode_page(buf, done, answers)
+    });
 }
 
 #[cfg(test)]
@@ -1108,6 +1142,39 @@ mod tests {
             }
             other => panic!("decoded {other:?}"),
         }
+    }
+
+    #[test]
+    fn page_payload_cut_anywhere_is_a_typed_error() {
+        let answers = vec![
+            Answer::new(3.5, vec![1, 2, 3], vec![(0, 7), (1, 9)]),
+            Answer::new(-0.0, vec![], vec![]),
+            Answer::new(1.0, (0..12).collect(), (0..12).map(|i| (i, i)).collect()),
+        ];
+        let mut payload = Vec::new();
+        encode_page(&mut payload, false, &answers);
+        match Response::decode(StatusCode::Page as u8, &payload).unwrap() {
+            Response::Page(p) => assert_eq!(p.answers, answers),
+            other => panic!("decoded {other:?}"),
+        }
+        for cut in 0..payload.len() {
+            assert!(
+                matches!(
+                    Response::decode(StatusCode::Page as u8, &payload[..cut]),
+                    Err(WireError::Protocol(_))
+                ),
+                "a page cut at {cut} bytes must fail typed"
+            );
+        }
+        // The borrowed-page frame is the owned-page frame, byte for byte.
+        let (mut owned, mut borrowed, mut scratch) = (Vec::new(), Vec::new(), Vec::new());
+        let page = Response::Page(Page {
+            answers: answers.clone(),
+            done: true,
+        });
+        encode_response(&mut owned, &mut scratch, &page);
+        encode_page_response(&mut borrowed, &mut scratch, true, &answers);
+        assert_eq!(owned, borrowed);
     }
 
     fn sample_stats() -> StatsSnapshot {

@@ -40,11 +40,12 @@
 //!    Governor's MEM gauge to zero; then all threads are joined.
 
 use super::protocol::{
-    encode_response, read_frame, write_frame, FrameReadError, Request, Response, WireError,
-    WireOverloadReason, DEFAULT_MAX_FRAME_BYTES, VERSION,
+    encode_page_response, encode_response, read_frame, write_frame, FrameReadError, Request,
+    Response, WireError, WireOverloadReason, DEFAULT_MAX_FRAME_BYTES, VERSION,
 };
 use crate::service::{QueryService, SessionId};
 use anyk_core::faults;
+use anyk_engine::Answer;
 use anyk_obs::{Clock, MonotonicClock};
 use anyk_query::QuerySpec;
 use std::collections::HashMap;
@@ -340,6 +341,7 @@ fn worker_loop(shared: &Shared, rx: &Arc<Mutex<Receiver<(u64, TcpStream)>>>) {
             stream,
             sessions: HashMap::new(),
             next_wire_id: 1,
+            page: Vec::new(),
             frame: Vec::new(),
             payload: Vec::new(),
             scratch: Vec::new(),
@@ -362,14 +364,26 @@ fn worker_loop(shared: &Shared, rx: &Arc<Mutex<Receiver<(u64, TcpStream)>>>) {
     }
 }
 
+/// What [`Connection::dispatch`] answers a request with.
+enum Reply {
+    Response(Response),
+    /// The page just pulled into [`Connection::page`].
+    Page {
+        done: bool,
+    },
+}
+
 /// One live connection's state: its socket, its private wire-id → session
 /// map (a connection can only ever address sessions it opened itself), and
-/// reusable encode/decode buffers.
+/// reusable page, encode and decode buffers.
 struct Connection<'s> {
     shared: &'s Shared,
     stream: TcpStream,
     sessions: HashMap<u64, SessionId>,
     next_wire_id: u64,
+    /// The answers of the page being served, pulled with `next_page_into`
+    /// and encoded from the borrowed slice.
+    page: Vec<Answer>,
     frame: Vec<u8>,
     payload: Vec<u8>,
     scratch: Vec<u8>,
@@ -397,8 +411,11 @@ impl Connection<'_> {
                     return;
                 }
             };
-            let resp = self.dispatch(req);
-            if self.reply(&resp).is_err() {
+            let sent = match self.dispatch(req) {
+                Reply::Response(resp) => self.reply(&resp),
+                Reply::Page { done } => self.reply_page(done),
+            };
+            if sent.is_err() {
                 return;
             }
             if self.shared.shutdown.load(Ordering::SeqCst) {
@@ -460,9 +477,9 @@ impl Connection<'_> {
         }
     }
 
-    fn dispatch(&mut self, req: Request) -> Response {
+    fn dispatch(&mut self, req: Request) -> Reply {
         let svc = &self.shared.service;
-        match req {
+        let resp = match req {
             Request::Ping => Response::Pong,
             Request::Prepare(text) => match QuerySpec::parse(&text) {
                 Ok(spec) => match svc.prepare_spec(&spec) {
@@ -482,11 +499,11 @@ impl Connection<'_> {
             },
             Request::NextPage { session, page_size } => {
                 let Some(&id) = self.sessions.get(&session) else {
-                    return Response::Err(WireError::UnknownSession(session));
+                    return Reply::Response(Response::Err(WireError::UnknownSession(session)));
                 };
                 let size = (page_size as usize).clamp(1, self.shared.cfg.max_page_size);
-                match svc.next_page(id, size) {
-                    Ok(page) => Response::Page(page),
+                match svc.next_page_into(id, size, &mut self.page) {
+                    Ok(done) => return Reply::Page { done },
                     Err(e) => {
                         if matches!(
                             e,
@@ -505,7 +522,7 @@ impl Connection<'_> {
             }
             Request::Cancel(session) => {
                 let Some(&id) = self.sessions.get(&session) else {
-                    return Response::Err(WireError::UnknownSession(session));
+                    return Reply::Response(Response::Err(WireError::UnknownSession(session)));
                 };
                 match svc.cancel_session(id) {
                     Ok(()) => Response::Cancelled,
@@ -525,11 +542,23 @@ impl Connection<'_> {
                 Err(e) => Response::from_service_error(&e, 0),
             },
             Request::Stats => Response::Stats(Box::new(svc.stats_snapshot())),
-        }
+        };
+        Reply::Response(resp)
     }
 
     fn reply(&mut self, resp: &Response) -> io::Result<()> {
         encode_response(&mut self.frame, &mut self.payload, resp);
+        self.send_frame()
+    }
+
+    /// Answer with the page in `self.page`.
+    fn reply_page(&mut self, done: bool) -> io::Result<()> {
+        encode_page_response(&mut self.frame, &mut self.payload, done, &self.page);
+        self.send_frame()
+    }
+
+    /// Write the frame just encoded into `self.frame`.
+    fn send_frame(&mut self) -> io::Result<()> {
         if self.frame.len() > super::protocol::HEADER_LEN + self.shared.cfg.max_frame_bytes as usize
         {
             // The encoded response (a fat page) exceeds our own frame cap:
