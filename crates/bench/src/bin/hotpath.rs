@@ -109,8 +109,8 @@ fn workloads(scale: Scale) -> Vec<Workload> {
         },
         // The selection-pushdown hot path: path-4 with a selective equality
         // predicate on the middle join variable (`x3 = 7` keeps ~1/domain of
-        // R2/R3). `prep_ms` covers the filtered-copy pass + compilation over
-        // the reduced input.
+        // R2/R3). `prep_ms` covers the row-list pass + compilation over the
+        // listed rows.
         Workload {
             name: "filter4",
             db: path_db,

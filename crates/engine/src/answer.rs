@@ -72,7 +72,10 @@ impl Answer {
         self.values()[idx]
     }
 
-    /// The witness `(atom index, tuple id)` pairs, if available.
+    /// The witness: one `(atom index, tuple id)` pair per atom, naming the
+    /// input tuple of the plan's database that the atom matched — with or
+    /// without selections, which never renumber tuples. Empty on a
+    /// cycle-decomposed plan, whose bag tuples are not input tuples.
     pub fn witness(&self) -> &[(usize, TupleId)] {
         self.witness.as_slice()
     }

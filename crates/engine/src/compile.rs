@@ -13,12 +13,14 @@
 
 use crate::answer::Answer;
 use crate::error::EngineError;
+use crate::select::Selection;
 use anyk_core::dioid::{Dioid, OrderedF64};
 use anyk_core::solution::Solution;
 use anyk_core::tdp::{NodeId, StageId, TdpBuilder, TdpInstance};
-use anyk_query::{gyo, ConjunctiveQuery, JoinTree};
-use anyk_storage::{Database, RowRef, Value};
+use anyk_query::{gyo, ConjunctiveQuery};
+use anyk_storage::{Database, HashIndex, RowRef, Value};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A compiled acyclic query: the T-DP instance plus the metadata needed to
 /// turn its [`Solution`]s back into query [`Answer`]s.
@@ -40,8 +42,8 @@ pub struct Compiled<D: Dioid> {
     /// that atom's relation holding the variable's value).
     var_sources: Vec<(usize, usize)>,
     /// The tuple↔state bookkeeping needed to maintain the instance under
-    /// input deltas (see [`crate::refresh`]); captured only by
-    /// [`compile_with_delta`].
+    /// input deltas (see `crate::refresh`); captured only when
+    /// `compile_with_opts` is asked to retain it.
     pub(crate) delta: Option<DeltaSupport>,
 }
 
@@ -113,29 +115,24 @@ where
     D: Dioid<V = OrderedF64>,
     F: Fn(RowRef<'_>) -> f64,
 {
-    compile_with_opts(db, query, weight_fn, false)
+    compile_with_opts(db, query, &Selection::default(), weight_fn, false)
 }
 
-/// Like [`compile_with`], additionally retaining the full T-DP topology and
-/// the tuple↔state bookkeeping needed for [`crate::refresh`] (delta
-/// maintenance). Costs one extra CSR copy plus `O(n)` state maps.
-pub fn compile_with_delta<D, F>(
+/// The compile entry point over the rows `selection` lists (see
+/// [`crate::select`]), with `retain_delta` explicit: when set, the plan
+/// additionally keeps the full T-DP topology and the tuple↔state
+/// bookkeeping needed for [`crate::refresh`] (one extra CSR copy plus `O(n)`
+/// state maps). A plan over a non-trivial selection never keeps it, since
+/// refresh maps states by tuple id over every row.
+///
+/// Structural defects — a join-tree key not bound by its atom, a head
+/// variable missing from the body — surface as typed
+/// [`EngineError::Query`] errors rather than panics, since arbitrary names
+/// can reach this through the textual query path.
+pub(crate) fn compile_with_opts<D, F>(
     db: &Database,
     query: &ConjunctiveQuery,
-    weight_fn: F,
-) -> Result<Compiled<D>, EngineError>
-where
-    D: Dioid<V = OrderedF64>,
-    F: Fn(RowRef<'_>) -> f64,
-{
-    compile_with_opts(db, query, weight_fn, true)
-}
-
-/// The compile entry point with `retain_delta` explicit (as in
-/// [`compile_with_delta`]).
-pub fn compile_with_opts<D, F>(
-    db: &Database,
-    query: &ConjunctiveQuery,
+    selection: &Selection,
     weight_fn: F,
     retain_delta: bool,
 ) -> Result<Compiled<D>, EngineError>
@@ -146,39 +143,7 @@ where
     validate(db, query)?;
     let join_tree = gyo::join_tree(query.atoms())
         .ok_or_else(|| EngineError::UnsupportedCyclicQuery(query.to_string()))?;
-    compile_over_tree_inner(db, query, &join_tree, weight_fn, retain_delta)
-}
-
-/// Compile an acyclic full CQ over an explicitly provided join tree (used by
-/// the projection machinery, which picks a particular root). Structural
-/// defects — a join-tree key not bound by its atom, a head variable missing
-/// from the body — surface as typed [`EngineError::Query`] errors rather
-/// than panics, since arbitrary names can reach this through the textual
-/// query path.
-pub fn compile_over_tree<D, F>(
-    db: &Database,
-    query: &ConjunctiveQuery,
-    join_tree: &JoinTree,
-    weight_fn: F,
-) -> Result<Compiled<D>, EngineError>
-where
-    D: Dioid<V = OrderedF64>,
-    F: Fn(RowRef<'_>) -> f64,
-{
-    compile_over_tree_inner(db, query, join_tree, weight_fn, false)
-}
-
-fn compile_over_tree_inner<D, F>(
-    db: &Database,
-    query: &ConjunctiveQuery,
-    join_tree: &JoinTree,
-    weight_fn: F,
-    retain_delta: bool,
-) -> Result<Compiled<D>, EngineError>
-where
-    D: Dioid<V = OrderedF64>,
-    F: Fn(RowRef<'_>) -> f64,
-{
+    let retain_delta = retain_delta && selection.is_trivial();
     let atoms = query.atoms();
     let order = join_tree.traversal_order();
     let mut builder = TdpBuilder::<D>::new();
@@ -189,30 +154,32 @@ where
 
     // Stage id of each atom's (output) stage, indexed by atom index.
     let mut stage_of_atom: Vec<Option<StageId>> = vec![None; atoms.len()];
-    // T-DP states of each atom's tuples, indexed by atom index then tuple id.
-    // `None` for tuples that were not materialised (child tuples whose join
-    // key never occurs on the parent side).
+    // T-DP states of each atom's rows, indexed by atom index then row (the
+    // tuple id itself when the atom ranges over every row). `None` for rows
+    // that were not materialised (child tuples whose join key never occurs
+    // on the parent side). A state's payload is its tuple id.
     let mut states_of_atom: Vec<Vec<Option<NodeId>>> = vec![Vec::new(); atoms.len()];
 
     for (visit_idx, &atom_idx) in order.iter().enumerate() {
         let atom = &atoms[atom_idx];
         let relation = db.expect(&atom.relation);
+        let tids = selection.tuple_ids(atom_idx, relation);
         if visit_idx == 0 {
             // Root atom: its stage hangs directly under the T-DP root and
-            // every tuple connects to s₀.
+            // every row connects to s₀.
             let stage = builder.add_stage_under_root(&atom.relation, true);
             stage_of_atom[atom_idx] = Some(stage);
-            let mut states = vec![None; relation.len()];
-            for (tid, tuple) in relation.iter() {
-                let s = builder.add_state_with_payload(
-                    stage.index(),
-                    OrderedF64::from(weight_fn(tuple)),
-                    tid as u64,
-                );
-                builder.connect_root(s);
-                states[tid] = Some(s);
-            }
-            states_of_atom[atom_idx] = states;
+            states_of_atom[atom_idx] = tids
+                .map(|tid| {
+                    let s = builder.add_state_with_payload(
+                        stage.index(),
+                        OrderedF64::from(weight_fn(relation.tuple(tid))),
+                        tid as u64,
+                    );
+                    builder.connect_root(s);
+                    Some(s)
+                })
+                .collect();
             continue;
         }
 
@@ -227,7 +194,6 @@ where
         let key_vars = parent_atom.shared_variables(atom);
         let parent_positions = parent_atom.positions_of(&key_vars)?;
         let child_positions = atom.positions_of(&key_vars)?;
-        let single_column = child_positions.len() == 1;
 
         let value_stage = builder.add_stage(
             &format!("{}⋈{}", parent_atom.relation, atom.relation),
@@ -238,25 +204,32 @@ where
         stage_of_atom[atom_idx] = Some(atom_stage);
 
         // One value node per distinct join-key value occurring on the parent
-        // side; parent tuples connect to their key's value node. The index
-        // comes from the database's per-(relation, key) cache — a self-join
-        // or a star query re-joining the same parent key hits the cache — and
-        // its retained tuple→group map resolves each parent tuple's group
-        // with one array read (the build already hashed every row).
-        let parent_relation = db.expect(&parent_atom.relation);
-        let parent_index = db.index(&parent_atom.relation, &parent_positions);
+        // side; parent rows connect to their key's value node. A parent over
+        // every row takes its index from the database's per-(relation, key)
+        // cache — a self-join or a star query re-joining the same parent key
+        // hits the cache — and a selected parent gets one over its listed
+        // rows, private to this compile. Either way the index's retained
+        // row→group map resolves each parent row's group with one array read
+        // (the build already hashed every row).
+        let parent_index = match selection.rows(parent_idx) {
+            None => db.index(&parent_atom.relation, &parent_positions),
+            Some(rows) => Arc::new(HashIndex::build_rows(
+                db.expect(&parent_atom.relation),
+                &parent_positions,
+                Some(rows),
+            )),
+        };
         let mut vnode_of_group: Vec<Option<NodeId>> = vec![None; parent_index.num_groups()];
-        for (ptid, pstate) in states_of_atom[parent_idx].iter().enumerate() {
+        for (row, pstate) in states_of_atom[parent_idx].iter().enumerate() {
             let &Some(pstate) = pstate else {
                 continue;
             };
-            let g = parent_index.group_of_tuple(ptid);
+            let g = parent_index.group_of_tuple(row);
             let vnode = *vnode_of_group[g].get_or_insert_with(|| {
                 builder.add_state_with_payload(value_stage.index(), D::one(), u64::MAX)
             });
             builder.connect(pstate, vnode);
         }
-        debug_assert_eq!(states_of_atom[parent_idx].len(), parent_relation.len());
         if retain_delta {
             // Re-key the group-indexed vnodes by join-key value: group ids
             // are an artifact of this index build and would not survive a
@@ -276,40 +249,28 @@ where
             tree_children[parent_idx].push(atom_idx);
         }
 
-        // Child tuples connect below the value node of their key (tuples with
+        // Child rows connect below the value node of their key (tuples with
         // keys that never occur on the parent side are dropped here — the
         // "semi-join" part of the encoding). Probing uses the single-column
         // fast path when the join key is one variable (the common case for
-        // the paper's path/star/cycle queries): a sequential scan of the one
-        // key column.
-        let mut states = vec![None; relation.len()];
-        if single_column {
-            for (tid, &v) in relation.column(child_positions[0]).iter().enumerate() {
-                if let Some(vnode) = parent_index.group_of1(v).and_then(|g| vnode_of_group[g]) {
-                    let s = builder.add_state_with_payload(
-                        atom_stage.index(),
-                        OrderedF64::from(weight_fn(relation.tuple(tid))),
-                        tid as u64,
-                    );
-                    builder.connect(vnode, s);
-                    states[tid] = Some(s);
-                }
-            }
-        } else {
-            for (tid, state) in states.iter_mut().enumerate() {
-                let g = parent_index.group_of_row_in(relation, tid, &child_positions);
-                if let Some(vnode) = g.and_then(|g| vnode_of_group[g]) {
-                    let s = builder.add_state_with_payload(
-                        atom_stage.index(),
-                        OrderedF64::from(weight_fn(relation.tuple(tid))),
-                        tid as u64,
-                    );
-                    builder.connect(vnode, s);
-                    *state = Some(s);
-                }
-            }
-        }
-        states_of_atom[atom_idx] = states;
+        // the paper's path/star/cycle queries): a read of the one key column.
+        let key_column = (child_positions.len() == 1).then(|| relation.column(child_positions[0]));
+        states_of_atom[atom_idx] = tids
+            .map(|tid| {
+                let g = match key_column {
+                    Some(col) => parent_index.group_of1(col[tid]),
+                    None => parent_index.group_of_row_in(relation, tid, &child_positions),
+                };
+                let vnode = g.and_then(|g| vnode_of_group[g])?;
+                let s = builder.add_state_with_payload(
+                    atom_stage.index(),
+                    OrderedF64::from(weight_fn(relation.tuple(tid))),
+                    tid as u64,
+                );
+                builder.connect(vnode, s);
+                Some(s)
+            })
+            .collect();
     }
 
     let instance = builder.build();
@@ -379,8 +340,9 @@ impl<D: Dioid<V = OrderedF64>> Compiled<D> {
         &self.output_atoms
     }
 
-    /// Whether the plan carries the tuple↔state bookkeeping needed by
-    /// [`crate::refresh`] (compiled through [`compile_with_delta`]).
+    /// Whether the plan carries the tuple↔state bookkeeping needed by delta
+    /// maintenance (compiled through `compile_with_opts` with `retain_delta`
+    /// over every row).
     pub fn supports_refresh(&self) -> bool {
         self.delta.is_some()
     }

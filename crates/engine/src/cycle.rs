@@ -19,6 +19,7 @@
 //! so the UT-DP union needs no duplicate elimination.
 
 use crate::error::EngineError;
+use crate::select::Selection;
 use anyk_query::{Atom, ConjunctiveQuery};
 use anyk_storage::stats::{heavy_threshold, ColumnStats};
 use anyk_storage::{Database, Relation, Tuple, Value};
@@ -115,25 +116,25 @@ pub fn detect_simple_cycle(query: &ConjunctiveQuery) -> Option<CycleShape> {
 }
 
 /// A relation of the cycle, re-oriented so column 0 is its cycle attribute
-/// `A_j` and column 1 is `A_{j+1}`, with encoded weights. Built column-wise
-/// (one pass per source column) into the scratch database's naming scheme.
+/// `A_j` and column 1 is `A_{j+1}`, with encoded weights: only the rows
+/// `selection` lists for its atom, read column-wise into the scratch
+/// database's naming scheme.
 fn oriented_relation(
     db: &Database,
     query: &ConjunctiveQuery,
+    selection: &Selection,
     shape: &CycleShape,
     j: usize,
     encode: &impl Fn(f64) -> f64,
 ) -> Relation {
     let (atom_idx, flipped) = shape.atoms[j];
-    let atom = &query.atoms()[atom_idx];
-    let source = db.expect(&atom.relation);
+    let source = db.expect(&query.atoms()[atom_idx].relation);
     let (from, to) = if flipped { (1, 0) } else { (0, 1) };
-    let mut out = Relation::with_capacity(oriented_name(j), 2, source.len());
-    for (tid, &a) in source.column(from).iter().enumerate() {
-        out.push_row(
-            &[a, source.column(to)[tid]],
-            encode(source.tuple(tid).weight()),
-        );
+    let (from, to) = (source.column(from), source.column(to));
+    let tids = selection.tuple_ids(atom_idx, source);
+    let mut out = Relation::with_capacity(oriented_name(j), 2, tids.len());
+    for tid in tids {
+        out.push_row(&[from[tid], to[tid]], encode(source.tuple(tid).weight()));
     }
     out
 }
@@ -149,14 +150,16 @@ fn light_name(j: usize) -> String {
     format!("light_{j}")
 }
 
-/// Decompose a simple ℓ-cycle query (ℓ ≥ 4) into ℓ + 1 acyclic sub-problems.
+/// Decompose a simple ℓ-cycle query (ℓ ≥ 4) over the rows of `db` that
+/// `selection` lists into ℓ + 1 acyclic sub-problems.
 ///
 /// `encode` maps input weights into the engine's internal weight space and
 /// `combine` aggregates two weights (`+` for sum rankings, `max` for the
 /// bottleneck ranking).
-pub fn decompose(
+pub(crate) fn decompose(
     db: &Database,
     query: &ConjunctiveQuery,
+    selection: &Selection,
     encode: impl Fn(f64) -> f64,
     combine: impl Fn(f64, f64) -> f64 + Copy,
 ) -> Result<Vec<DecomposedTree>, EngineError> {
@@ -176,7 +179,7 @@ pub fn decompose(
     // once and then served from the database's index cache.
     let mut scratch = Database::new();
     for j in 0..ell {
-        scratch.add(oriented_relation(db, query, &shape, j, &encode));
+        scratch.add(oriented_relation(db, query, selection, &shape, j, &encode));
     }
     let n = scratch.relations().map(Relation::len).max().unwrap_or(0);
     let threshold = heavy_threshold(n, ell);
@@ -459,7 +462,7 @@ mod tests {
         }
         let db = cycle_db(4, &edges);
         let q = QueryBuilder::cycle(4).build();
-        let trees = decompose(&db, &q, |w| w, |a, b| a + b).unwrap();
+        let trees = decompose(&db, &q, &Selection::default(), |w| w, |a, b| a + b).unwrap();
         assert!(!trees.is_empty());
         assert!(trees.len() <= 5);
         // Brute-force the cycle output to compare total counts.
@@ -541,7 +544,7 @@ mod tests {
     fn triangle_is_rejected() {
         let db = cycle_db(3, &[(1, 2, 1.0), (2, 3, 1.0), (3, 1, 1.0)]);
         let q = QueryBuilder::cycle(3).build();
-        assert!(decompose(&db, &q, |w| w, |a, b| a + b).is_err());
+        assert!(decompose(&db, &q, &Selection::default(), |w| w, |a, b| a + b).is_err());
     }
 
     #[test]
@@ -553,7 +556,7 @@ mod tests {
         }
         let db = cycle_db(6, &edges);
         let q = QueryBuilder::cycle(6).build();
-        let trees = decompose(&db, &q, |w| w, |a, b| a + b).unwrap();
+        let trees = decompose(&db, &q, &Selection::default(), |w| w, |a, b| a + b).unwrap();
         for tree in &trees {
             if tree.label.starts_with("heavy") {
                 assert_eq!(tree.query.num_atoms(), 4, "6-cycle heavy tree has ℓ-2 bags");

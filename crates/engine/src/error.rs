@@ -40,8 +40,8 @@ pub enum EngineError {
     Parse(ParseError),
     /// Delta maintenance ([`crate::PreparedQuery::refresh`]) was requested
     /// for a plan that cannot be patched in place: compiled without delta
-    /// support, cycle-decomposed, or carrying selection-pushdown scratch
-    /// relations. The caller should recompile from scratch instead.
+    /// support (as every plan with selections is), or cycle-decomposed. The
+    /// caller should recompile from scratch instead.
     RefreshUnsupported(String),
     /// A chaos-testing failpoint fired on the preparation path (see
     /// [`anyk_core::faults`]); never produced unless a fault plan is armed.

@@ -15,7 +15,7 @@
 //!   ([`RankedQuery::from_spec`], [`RankedQuery::from_text`]);
 //! * `select` (internal) — selection pushdown: predicates
 //!   (`y = 7`, `name = "alice"`) and repeated variables within an atom
-//!   (`R(x, x)`) become filtered relation copies built in one linear pass
+//!   (`R(x, x)`) become lists of the passing rows, built in one linear pass
 //!   before compilation, exactly the preprocessing reduction of §2.1;
 //! * [`PreparedQuery`] / [`AnswerCursor`] — the service-facing split of the
 //!   same machinery: an owning, `Send + Sync` compiled plan shared behind an

@@ -44,8 +44,9 @@ pub fn join_and_sort(
 /// result sorted by the spec's ranking. Selections are applied **inline** in
 /// the pipeline (constants checked when a variable is first bound, repeated
 /// variables as per-tuple column equalities): a deliberately independent
-/// implementation from the engine's filtered-copy pushdown, which makes this
-/// the oracle the differential tests compare the any-k path against.
+/// implementation from the engine's row-list pushdown, which makes this the
+/// oracle the differential tests compare the any-k path against, witnesses
+/// included (each names an input tuple of `db`).
 ///
 /// The spec's `limit` and `algorithm` are ignored — the oracle always
 /// produces the full sorted result, so callers can compare any prefix.

@@ -100,10 +100,6 @@ impl CancellationToken {
 pub struct PreparedQuery {
     db: Arc<Database>,
     query: ConjunctiveQuery,
-    /// Selection pushdown output (see the `select` module): the scratch
-    /// database of filtered relation copies and the rewritten query the plan
-    /// was compiled from. `None` for selection-free queries.
-    effective: Option<(Database, ConjunctiveQuery)>,
     ranking: RankingFunction,
     plan: Plan,
 }
@@ -125,8 +121,8 @@ impl PreparedQuery {
     /// Like [`PreparedQuery::prepare`], additionally retaining the
     /// bookkeeping that lets [`PreparedQuery::refresh`] patch the plan under
     /// a [`DeltaBatch`] instead of recompiling (one extra CSR copy plus
-    /// `O(n)` tuple→state maps). Cycle plans and plans with
-    /// selection-pushdown scratch relations silently skip the bookkeeping —
+    /// `O(n)` tuple→state maps). Cycle plans and plans with selections
+    /// (predicates or repeated variables) silently skip the bookkeeping —
     /// check [`PreparedQuery::supports_refresh`].
     pub fn prepare_delta(
         db: Arc<Database>,
@@ -137,8 +133,9 @@ impl PreparedQuery {
     }
 
     /// Compile and preprocess a [`QuerySpec`](anyk_query::QuerySpec):
-    /// selection predicates are pushed down to filtered relation copies
-    /// (owned by the prepared query) before compilation. The spec's
+    /// selection predicates reduce each constrained atom to the list of its
+    /// rows that pass, and the plan compiles over those rows of `db`, so
+    /// answers' witnesses name `db`'s tuples. The spec's
     /// execution attributes — `algorithm`, `limit` — are deliberately *not*
     /// baked in: a prepared plan is shared by every request with the same
     /// [`plan_key`](anyk_query::QuerySpec::plan_key), and sessions apply
@@ -171,24 +168,11 @@ impl PreparedQuery {
         predicates: &[anyk_query::Predicate],
         retain_delta: bool,
     ) -> Result<Self, EngineError> {
-        let mut effective = crate::select::rewrite_selections(&db, &query, predicates)?;
-        let plan = match &effective {
-            // Selection-pushdown plans compile over scratch relation copies
-            // that a delta cannot be mapped onto; they recompile on
-            // ingestion, so the bookkeeping would be dead weight.
-            Some((scratch, rewritten)) => Plan::prepare(scratch, rewritten, ranking, false)?,
-            None => Plan::prepare(&db, &query, ranking, retain_delta)?,
-        };
-        if let Some((scratch, _)) = &mut effective {
-            // Compilation was the scratch indexes' only reader: enumeration
-            // reads columns, and ingestion recompiles. A cached plan would
-            // otherwise keep an index over every unfiltered parent relation.
-            scratch.clear_index_cache();
-        }
+        let selection = crate::select::select(&db, &query, predicates)?;
+        let plan = Plan::prepare(&db, &query, &selection, ranking, retain_delta)?;
         Ok(PreparedQuery {
             db,
             query,
-            effective,
             ranking,
             plan,
         })
@@ -197,11 +181,6 @@ impl PreparedQuery {
     /// Prepare with the default ranking ([`RankingFunction::SumAscending`]).
     pub fn new(db: Arc<Database>, query: &ConjunctiveQuery) -> Result<Self, EngineError> {
         Self::prepare(db, query, RankingFunction::SumAscending)
-    }
-
-    /// The database the plan enumerates and assembles answers over.
-    fn exec_db(&self) -> &Database {
-        self.effective.as_ref().map_or(&self.db, |(db, _)| db)
     }
 
     /// The shared database snapshot this plan was compiled over.
@@ -231,10 +210,11 @@ impl PreparedQuery {
 
     /// Whether [`PreparedQuery::refresh`] can patch this plan under a
     /// [`DeltaBatch`]: compiled through [`PreparedQuery::prepare_delta`] /
-    /// [`PreparedQuery::from_spec_delta`], acyclic, and free of
-    /// selection-pushdown scratch relations.
+    /// [`PreparedQuery::from_spec_delta`], acyclic, and free of selections
+    /// (a selected plan compiles without the bookkeeping and recompiles on
+    /// ingestion).
     pub fn supports_refresh(&self) -> bool {
-        self.effective.is_none() && self.plan.supports_refresh()
+        self.plan.supports_refresh()
     }
 
     /// Delta-maintain the plan: a **new** prepared query answering the same
@@ -253,16 +233,10 @@ impl PreparedQuery {
         new_db: Arc<Database>,
         batch: &DeltaBatch,
     ) -> Result<PreparedQuery, EngineError> {
-        if self.effective.is_some() {
-            return Err(EngineError::RefreshUnsupported(
-                "plans with selection-pushdown scratch relations recompile on ingestion".into(),
-            ));
-        }
         let (plan, _stats) = self.plan.refresh(&new_db, batch, self.ranking)?;
         Ok(PreparedQuery {
             db: new_db,
             query: self.query.clone(),
-            effective: None,
             ranking: self.ranking,
             plan,
         })
@@ -272,8 +246,8 @@ impl PreparedQuery {
     /// (identity on raw-id columns); see [`crate::AnswerDecoder`]. Built
     /// over the plan's snapshot, so page decoding stays consistent even if
     /// the catalog the service started from is later replaced elsewhere.
-    /// Selection-pushdown copies share their source's dictionaries, so the
-    /// decoder is the same with and without predicates.
+    /// Selected plans read the snapshot's own columns, so the decoder is the
+    /// same with and without predicates.
     pub fn decoder(&self) -> crate::AnswerDecoder {
         crate::AnswerDecoder::for_query(&self.db, &self.query)
     }
@@ -281,7 +255,7 @@ impl PreparedQuery {
     /// Enumerate every answer exactly once, in rank order (the one-shot
     /// stream that paged cursors are guaranteed to reproduce bit-identically).
     pub fn enumerate(&self, algorithm: AnyKAlgorithm) -> Box<dyn AnswerStream + '_> {
-        self.plan.enumerate(self.exec_db(), algorithm, self.ranking)
+        self.plan.enumerate(&self.db, algorithm, self.ranking)
     }
 
     /// Convenience: the top `k` answers as a vector.
@@ -378,11 +352,11 @@ pub struct AnswerCursor {
 impl AnswerCursor {
     fn new(owner: Arc<PreparedQuery>, algorithm: AnyKAlgorithm, limit: Option<usize>) -> Self {
         let iter: Box<dyn AnswerStream + '_> = owner.enumerate(algorithm);
-        // SAFETY: `iter` borrows only from the `PreparedQuery` heap
-        // allocation behind `owner` (an `Arc` pointee, which never moves and
-        // is never mutated — `PreparedQuery` has no interior mutability that
-        // could invalidate the plan or its selection-pushdown scratch
-        // database, both plain fields of that pointee). The cursor stores
+        // SAFETY: `iter` borrows only from the `PreparedQuery` behind
+        // `owner` — its plan, and the database snapshot its `Arc` field
+        // keeps alive. That pointee never moves and is never mutated:
+        // `PreparedQuery` has no interior mutability that could invalidate
+        // either, both plain fields of it. The cursor stores
         // `owner` next to `iter`, never hands the iterator out, and its
         // field order drops `iter` before `owner`, so the borrow outlives
         // every use and the `'static` lifetime is a private fiction that

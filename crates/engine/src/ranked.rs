@@ -4,6 +4,7 @@ use crate::answer::Answer;
 use crate::compile::{Assembler, Compiled};
 use crate::cycle;
 use crate::error::EngineError;
+use crate::select::Selection;
 use anyk_core::dioid::{Dioid, MinMaxDioid, OrderedF64, TropicalMin};
 use anyk_core::tdp::NodeId;
 use anyk_core::{
@@ -53,16 +54,13 @@ use anyk_storage::{Database, DeltaBatch, RowRef};
 /// Queries with **selections** — predicates from a
 /// [`QuerySpec`](anyk_query::QuerySpec) (see [`RankedQuery::from_spec`] /
 /// [`RankedQuery::from_text`]) or repeated variables within an atom
-/// (`R(x, x)`) — are first rewritten over filtered relation copies (§2.1's
-/// linear-time preprocessing, the `select` module); the copies live inside the
-/// `RankedQuery`, so the borrowed database is never touched.
+/// (`R(x, x)`) — first reduce each constrained atom to the list of its rows
+/// that pass (§2.1's linear-time preprocessing, the `select` module). The
+/// plan is compiled over those rows of the borrowed database, so every
+/// answer's witness names the borrowed database's tuples.
 pub struct RankedQuery<'a> {
     db: &'a Database,
-    /// The request as the caller wrote it (original relation names).
     query: ConjunctiveQuery,
-    /// Selection pushdown output: the scratch database of filtered copies
-    /// and the rewritten query the plan was actually compiled from.
-    effective: Option<(Database, ConjunctiveQuery)>,
     ranking: RankingFunction,
     /// Stop enumeration after this many answers (from the spec's `limit`).
     limit: Option<usize>,
@@ -215,15 +213,17 @@ pub(crate) enum Plan {
 }
 
 impl Plan {
-    /// Compile `query` over `db` under `ranking` (validation, join-tree /
-    /// cycle-decomposition selection, T-DP compilation, bottom-up phase).
-    /// `retain_delta` compiles acyclic plans through [`compile_with_delta`],
-    /// enabling [`Plan::refresh`] at the cost of one extra CSR copy plus
-    /// `O(n)` tuple→state maps (cycle plans ignore the flag — they recompile
-    /// from scratch on ingestion).
+    /// Compile `query` over the rows of `db` that `selection` lists, under
+    /// `ranking` (validation, join-tree / cycle-decomposition selection,
+    /// T-DP compilation, bottom-up phase). `retain_delta` keeps the delta
+    /// bookkeeping of [`crate::compile::compile_with_opts`] in acyclic plans
+    /// over every row, enabling [`Plan::refresh`] at the cost of one extra
+    /// CSR copy plus `O(n)` tuple→state maps (cycle plans and selected plans
+    /// ignore the flag — they recompile on ingestion).
     pub(crate) fn prepare(
         db: &Database,
         query: &ConjunctiveQuery,
+        selection: &Selection,
         ranking: RankingFunction,
         retain_delta: bool,
     ) -> Result<Self, EngineError> {
@@ -235,6 +235,7 @@ impl Plan {
                 let c = crate::compile::compile_with_opts::<MinMaxDioid, _>(
                     db,
                     query,
+                    selection,
                     |t| ranking.encode(t.weight()),
                     retain_delta,
                 )?;
@@ -243,6 +244,7 @@ impl Plan {
                 let c = crate::compile::compile_with_opts::<TropicalMin, _>(
                     db,
                     query,
+                    selection,
                     |t| ranking.encode(t.weight()),
                     retain_delta,
                 )?;
@@ -250,7 +252,7 @@ impl Plan {
             }
         } else {
             let combine = ranking.combine_fn();
-            let trees = cycle::decompose(db, query, |w| ranking.encode(w), combine)?;
+            let trees = cycle::decompose(db, query, selection, |w| ranking.encode(w), combine)?;
             let original_head = query.head_variables();
             if ranking.is_bottleneck() {
                 Ok(Plan::CycleBottleneck(Self::compile_trees::<MinMaxDioid>(
@@ -274,11 +276,10 @@ impl Plan {
             .into_iter()
             .map(|tree| {
                 // Bag weights are already encoded by the decomposition.
-                let compiled = crate::compile::compile_with_opts::<D, _>(
+                let compiled = crate::compile::compile_with::<D, _>(
                     &tree.database,
                     &tree.query,
                     |t: RowRef<'_>| t.weight(),
-                    false,
                 )?;
                 let tree_head = tree.query.head_variables();
                 let head_perm = original_head
@@ -475,7 +476,7 @@ impl<'a> RankedQuery<'a> {
     }
 
     /// Prepare a [`QuerySpec`](anyk_query::QuerySpec) over `db`: selection
-    /// predicates are pushed down to filtered relation copies before
+    /// predicates reduce each constrained atom to a list of its rows before
     /// compilation, and the spec's `limit` (if any) caps
     /// [`RankedQuery::enumerate`]. The spec's `algorithm` pin, being a
     /// per-enumeration choice, is left to the caller (read it from
@@ -498,29 +499,18 @@ impl<'a> RankedQuery<'a> {
         predicates: &[anyk_query::Predicate],
         limit: Option<usize>,
     ) -> Result<Self, EngineError> {
-        let effective = crate::select::rewrite_selections(db, &query, predicates)?;
-        let plan = match &effective {
-            Some((scratch, rewritten)) => Plan::prepare(scratch, rewritten, ranking, false)?,
-            None => Plan::prepare(db, &query, ranking, false)?,
-        };
+        let selection = crate::select::select(db, &query, predicates)?;
+        let plan = Plan::prepare(db, &query, &selection, ranking, false)?;
         Ok(RankedQuery {
             db,
             query,
-            effective,
             ranking,
             limit,
             plan,
         })
     }
 
-    /// The database the plan enumerates and assembles answers over: the
-    /// selection-pushdown scratch database when the query carried
-    /// selections, the caller's database otherwise.
-    fn exec_db(&self) -> &Database {
-        self.effective.as_ref().map_or(self.db, |(db, _)| db)
-    }
-
-    /// The query this plan answers (as the caller wrote it).
+    /// The query this plan answers.
     pub fn query(&self) -> &ConjunctiveQuery {
         &self.query
     }
@@ -536,10 +526,10 @@ impl<'a> RankedQuery<'a> {
     }
 
     /// A decoder mapping this query's answers back to original strings
-    /// (identity on raw-id columns). Built over the *original* database and
-    /// query — selection-pushdown copies share their source's dictionaries,
-    /// and decomposed cycle plans emit original column ids reordered into
-    /// the query's head order, so one decoder covers every plan shape.
+    /// (identity on raw-id columns). Built over the plan's database and
+    /// query — selected plans read that database's columns, and decomposed
+    /// cycle plans emit original column ids reordered into the query's head
+    /// order, so one decoder covers every plan shape.
     pub fn decoder(&self) -> crate::AnswerDecoder {
         crate::AnswerDecoder::for_query(self.db, &self.query)
     }
@@ -564,7 +554,7 @@ impl<'a> RankedQuery<'a> {
     /// Enumerate every answer exactly once, in rank order, with the chosen
     /// any-k algorithm (stopping at the spec's limit when one is set).
     pub fn enumerate(&self, algorithm: AnyKAlgorithm) -> Box<dyn AnswerStream + '_> {
-        let iter = self.plan.enumerate(self.exec_db(), algorithm, self.ranking);
+        let iter = self.plan.enumerate(self.db, algorithm, self.ranking);
         match self.limit {
             Some(l) => Box::new(LimitStream {
                 inner: iter,

@@ -1,7 +1,8 @@
 //! Delta maintenance of compiled plans: patch a [`Compiled`] instance under
 //! a [`DeltaBatch`] instead of recompiling from scratch.
 //!
-//! A plan compiled with [`crate::compile::compile_with_delta`] carries
+//! A plan compiled with delta support
+//! ([`crate::compile::compile_with_opts`] with `retain_delta`) carries
 //! [`DeltaSupport`](crate::compile::DeltaSupport): the T-DP state of every
 //! input tuple, the join-tree shape, and the value node of every join-key
 //! value. Given the *post-delta* database (produced by

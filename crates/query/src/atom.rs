@@ -9,7 +9,7 @@ use crate::error::QueryError;
 /// the same variable may appear in several atoms (equi-join conditions) —
 /// both exactly as in §2.1 of the paper. Repeated variables *within* one atom
 /// (`R(x, x)`) are selections; as the paper notes (§2.1), the engine applies
-/// them to a filtered relation copy in a linear-time preprocessing step
+/// them as a list of the passing rows built in a linear-time preprocessing step
 /// before compilation, so they are fully supported through both the builder
 /// and the textual ([`crate::QuerySpec`]) APIs.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]

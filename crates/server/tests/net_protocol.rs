@@ -13,6 +13,7 @@
 //!   keep streaming.
 
 use anyk_core::AnyKAlgorithm;
+use anyk_engine::naive_sql;
 use anyk_server::net::{
     AnyKClient, AnyKServer, ClientConfig, ClientError, NetConfig, Response, StatusCode, WireError,
     WireOverloadReason,
@@ -118,6 +119,42 @@ fn tcp_streams_are_bit_identical_to_in_process_for_all_algorithms_and_page_sizes
     assert_eq!(service.session_count(), 0, "no leaked sessions");
     server.shutdown();
     assert_eq!(service.metrics().mem_resident_units, 0);
+}
+
+#[test]
+fn filtered_streams_over_tcp_carry_the_oracles_base_witnesses() {
+    // `x = 5` and `z = 203` keep rows from the middle of R1 and R2: each
+    // witness must name those input tuples, as the predicate-aware oracle
+    // does, not their positions among the selected rows.
+    let (service, mut server) = start_server(NetConfig::default());
+    let mut client = quick_client(&server);
+    let filtered = format!("{QUERY}, x = 5, z = 203");
+    let spec = QuerySpec::parse(&filtered).unwrap();
+    let fingerprints = |answers: &[Answer]| {
+        let mut out: Vec<_> = answers
+            .iter()
+            .map(|a| {
+                let mut witness = a.witness().to_vec();
+                witness.sort_unstable();
+                (a.values().to_vec(), a.weight().to_bits(), witness)
+            })
+            .collect();
+        out.sort();
+        out
+    };
+    let oracle = naive_sql::join_and_sort_spec(&path_db(), &spec).unwrap();
+    assert!(!oracle.is_empty(), "query must produce answers");
+    for algorithm in ALGORITHMS {
+        let text = format!("{filtered} via {}", format!("{algorithm:?}").to_lowercase());
+        let over_tcp = client.collect_all(&text, 3).unwrap();
+        assert_eq!(
+            fingerprints(&over_tcp),
+            fingerprints(&oracle),
+            "{algorithm:?}: values, weights and base witnesses"
+        );
+    }
+    assert_eq!(service.session_count(), 0, "no leaked sessions");
+    server.shutdown();
 }
 
 #[test]

@@ -56,9 +56,8 @@ use std::sync::Arc;
 /// An in-memory database: an ordered catalog of relations addressed by name.
 ///
 /// Relations are stored behind `Arc`s: cloning a database, or registering
-/// one database's relation in another (see [`Database::add_shared`], used by
-/// the engine's selection pushdown for the atoms a predicate does *not*
-/// touch), shares the columnar data instead of copying it. The sharing is
+/// one database's relation in another (see [`Database::add_shared`]),
+/// shares the columnar data instead of copying it. The sharing is
 /// sound because stored relations are immutable — mutation happens on an
 /// owned [`Relation`] before [`Database::add`] hands it over.
 #[derive(Debug)]
@@ -122,10 +121,8 @@ impl Database {
         self.add_shared(Arc::new(relation));
     }
 
-    /// Add an already-shared relation without copying its data — e.g. to
-    /// register another database's relation in a scratch database (the
-    /// selection-pushdown pass shares every unfiltered relation this way).
-    /// Same replace semantics (and same sealed-snapshot panic) as
+    /// Add an already-shared relation without copying its data (as
+    /// [`Database::apply_delta`] installs each patched relation). Same replace semantics (and same sealed-snapshot panic) as
     /// [`Database::add`].
     pub fn add_shared(&mut self, relation: Arc<Relation>) {
         assert!(
@@ -296,12 +293,6 @@ impl Database {
     /// `Arc` with a query service.
     pub fn set_index_cache_capacity(&mut self, capacity: usize) {
         self.index_cache.set_capacity(capacity);
-    }
-
-    /// Drop every cached index and reset the cache's counters, keeping its
-    /// capacity: for a database whose indexes have served their one reader.
-    pub fn clear_index_cache(&mut self) {
-        self.index_cache = IndexCache::new(self.index_cache.capacity());
     }
 
     /// The dictionary of column `col` of relation `name`, if that column is
@@ -537,10 +528,6 @@ mod tests {
         assert_eq!(after.entries, 2);
         assert_eq!(after.capacity, 8);
         assert!(after.hit_ratio() > 0.0);
-
-        db.clear_index_cache();
-        assert_eq!(db.cached_indexes(), 0);
-        assert_eq!(db.index_cache_capacity(), 8);
     }
 
     #[test]

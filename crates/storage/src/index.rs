@@ -16,10 +16,14 @@
 //!   `group_keys[g·k .. (g+1)·k]` where `k` is the key arity;
 //! * `group_offsets` / `group_tids` — the tuple ids of each group,
 //!   contiguous, in relation insertion order;
-//! * `tuple_groups` — the group id of **every indexed tuple**, kept from the
-//!   build pass. Consumers that walk the indexed relation itself (the
+//! * `tuple_groups` — the group id of **every indexed row**, kept from the
+//!   build pass. Consumers that walk the indexed rows themselves (the
 //!   engine's value-node loop) read their group with a single array access —
 //!   no re-hashing of rows that the build already hashed.
+//!
+//! An index covers every row of its relation, or only a list of them
+//! ([`HashIndex::build_rows`], the engine's index over a selected parent):
+//! one builder serves both, and the listed rows keep their tuple ids.
 //!
 //! Construction reads the relation **column-wise**: the key columns are
 //! borrowed once as contiguous slices and each per-tuple hash gathers from
@@ -82,19 +86,36 @@ pub struct HashIndex {
     group_offsets: Vec<u32>,
     /// Tuple ids, grouped by key, in relation insertion order.
     group_tids: Vec<TupleId>,
-    /// The group id of every indexed tuple, by tuple id (build-pass output).
+    /// The group id of every indexed row, by position in the row list (the
+    /// tuple id itself for an index over every row; build-pass output).
     tuple_groups: Vec<u32>,
     /// Cached maximum group size.
     max_bucket: usize,
 }
 
 impl HashIndex {
-    /// Build an index over `key_columns` of `relation` in a single pass of
-    /// sequential column scans.
+    /// Build an index over `key_columns` of every row of `relation`, in a
+    /// single pass of sequential column scans.
     ///
     /// # Panics
     /// Panics if any key column is out of range for the relation's arity.
     pub fn build(relation: &Relation, key_columns: &[usize]) -> Self {
+        Self::build_rows(relation, key_columns, None)
+    }
+
+    /// Build an index over `key_columns` of the listed rows of `relation`
+    /// only: `rows` holds ascending tuple ids, and `None` lists every row.
+    /// Groups, lookups and probes then see just those rows, under their
+    /// tuple ids in `relation`; [`HashIndex::group_of_tuple`] is addressed by
+    /// position in the list.
+    ///
+    /// # Panics
+    /// Panics if any key column is out of range for the relation's arity.
+    pub fn build_rows(
+        relation: &Relation,
+        key_columns: &[usize],
+        rows: Option<&[TupleId]>,
+    ) -> Self {
         // Chaos-testing hook; a no-op unless a fault plan is armed.
         anyk_core::faults::checkpoint("storage.index_build");
         let _span = anyk_obs::phase::span(anyk_obs::Phase::IndexBuild);
@@ -107,7 +128,7 @@ impl HashIndex {
             );
         }
         let k = key_columns.len();
-        let n = relation.len();
+        let n = rows.map_or(relation.len(), <[TupleId]>::len);
         // Group ids and CSR offsets are u32; groups ≤ tuples, so bounding the
         // tuple count keeps every narrowing cast below exact.
         assert!(
@@ -127,65 +148,27 @@ impl HashIndex {
             max_bucket: 0,
         };
 
-        // Pass 1: assign a group id to every tuple, discovering distinct
-        // keys; count group sizes. The columnar layout lets the key be
-        // hashed straight out of the borrowed column slices.
+        // Pass 1: assign a group id to every listed row, discovering
+        // distinct keys; count group sizes. The columnar layout lets the key
+        // be hashed straight out of the borrowed column slices.
         let mut group_sizes: Vec<u32> = Vec::new();
         if k == 1 {
-            // Single-column fast path: one contiguous scan.
+            // Single-column fast path: one scan of the key column.
             let col = relation.column(key_columns[0]);
-            for &v in col {
-                let mut bucket = hash1(v) as usize & index.mask;
-                let g = loop {
-                    match index.table[bucket] {
-                        EMPTY => {
-                            let g = group_sizes.len() as u32;
-                            index.table[bucket] = g;
-                            index.group_keys.push(v);
-                            group_sizes.push(0);
-                            break g;
-                        }
-                        g => {
-                            if index.group_keys[g as usize] == v {
-                                break g;
-                            }
-                            bucket = (bucket + 1) & index.mask;
-                        }
-                    }
-                };
-                group_sizes[g as usize] += 1;
-                index.tuple_groups.push(g);
+            match rows {
+                None => index.group_values(col.iter().copied(), &mut group_sizes),
+                Some(rows) => index.group_values(rows.iter().map(|&t| col[t]), &mut group_sizes),
             }
         } else {
             let cols: Vec<&[Value]> = key_columns.iter().map(|&c| relation.column(c)).collect();
-            for tid in 0..n {
-                let hash = hash_key(cols.iter().map(|col| col[tid]));
-                let mut bucket = hash as usize & index.mask;
-                let g = loop {
-                    match index.table[bucket] {
-                        EMPTY => {
-                            let g = group_sizes.len() as u32;
-                            index.table[bucket] = g;
-                            index.group_keys.extend(cols.iter().map(|col| col[tid]));
-                            group_sizes.push(0);
-                            break g;
-                        }
-                        g => {
-                            let key = &index.group_keys[g as usize * k..(g as usize + 1) * k];
-                            if cols.iter().zip(key).all(|(col, &kv)| col[tid] == kv) {
-                                break g;
-                            }
-                            bucket = (bucket + 1) & index.mask;
-                        }
-                    }
-                };
-                group_sizes[g as usize] += 1;
-                index.tuple_groups.push(g);
+            match rows {
+                None => index.group_rows(&cols, 0..n, &mut group_sizes),
+                Some(rows) => index.group_rows(&cols, rows.iter().copied(), &mut group_sizes),
             }
         }
 
         // Pass 2: prefix-sum the sizes and scatter tuple ids; scattering in
-        // tuple order keeps each group in relation insertion order.
+        // list order keeps each group in relation insertion order.
         let num_groups = group_sizes.len();
         index.group_offsets = Vec::with_capacity(num_groups + 1);
         let mut acc = 0u32;
@@ -197,11 +180,73 @@ impl HashIndex {
         index.group_offsets.push(acc);
         index.group_tids.resize(acc as usize, 0);
         let mut cursor: Vec<u32> = index.group_offsets[..num_groups].to_vec();
-        for (tid, &g) in index.tuple_groups.iter().enumerate() {
-            index.group_tids[cursor[g as usize] as usize] = tid;
+        for (i, &g) in index.tuple_groups.iter().enumerate() {
+            index.group_tids[cursor[g as usize] as usize] = rows.map_or(i, |rows| rows[i]);
             cursor[g as usize] += 1;
         }
         index
+    }
+
+    /// Pass 1 of a single-column build: the group of each key value, in
+    /// list order.
+    fn group_values(&mut self, values: impl Iterator<Item = Value>, group_sizes: &mut Vec<u32>) {
+        for v in values {
+            let mut bucket = hash1(v) as usize & self.mask;
+            let g = loop {
+                match self.table[bucket] {
+                    EMPTY => {
+                        let g = group_sizes.len() as u32;
+                        self.table[bucket] = g;
+                        self.group_keys.push(v);
+                        group_sizes.push(0);
+                        break g;
+                    }
+                    g => {
+                        if self.group_keys[g as usize] == v {
+                            break g;
+                        }
+                        bucket = (bucket + 1) & self.mask;
+                    }
+                }
+            };
+            group_sizes[g as usize] += 1;
+            self.tuple_groups.push(g);
+        }
+    }
+
+    /// Pass 1 of a multi-column build: the group of each listed row's key,
+    /// gathered from the key columns `cols`.
+    fn group_rows(
+        &mut self,
+        cols: &[&[Value]],
+        tids: impl Iterator<Item = TupleId>,
+        group_sizes: &mut Vec<u32>,
+    ) {
+        let k = cols.len();
+        for tid in tids {
+            let hash = hash_key(cols.iter().map(|col| col[tid]));
+            let mut bucket = hash as usize & self.mask;
+            let g = loop {
+                match self.table[bucket] {
+                    EMPTY => {
+                        let g = group_sizes.len() as u32;
+                        self.table[bucket] = g;
+                        self.group_keys.extend(cols.iter().map(|col| col[tid]));
+                        group_sizes.push(0);
+                        break g;
+                    }
+                    g => {
+                        let key = &self.group_keys[g as usize * k..(g as usize + 1) * k];
+                        if cols.iter().zip(key).all(|(col, &kv)| col[tid] == kv) {
+                            break g;
+                        }
+                        bucket = (bucket + 1) & self.mask;
+                    }
+                }
+            };
+            group_sizes[g as usize] += 1;
+            self.tuple_groups.push(g);
+        }
     }
 
     /// The columns this index is keyed on.
@@ -214,16 +259,17 @@ impl HashIndex {
         self.group_offsets.len().saturating_sub(1)
     }
 
-    /// The group id of tuple `tid` of the **indexed relation itself** — a
-    /// single array read, no hashing. This is the fast path for consumers
-    /// that walk the indexed relation in tuple order (the engine's value-node
-    /// loop).
+    /// The group id of the `i`-th indexed row — tuple `i` of the relation
+    /// for an index over every row, the list's `i`-th entry for one from
+    /// [`HashIndex::build_rows`]. A single array read, no hashing: the fast
+    /// path for consumers that walk the indexed rows in order (the engine's
+    /// value-node loop).
     ///
     /// # Panics
-    /// Panics if `tid` is out of range.
+    /// Panics if `i` is out of range.
     #[inline]
-    pub fn group_of_tuple(&self, tid: TupleId) -> usize {
-        self.tuple_groups[tid] as usize
+    pub fn group_of_tuple(&self, i: usize) -> usize {
+        self.tuple_groups[i] as usize
     }
 
     /// Probe the table with a precomputed hash; `matches` checks a candidate

@@ -6,7 +6,7 @@
 //! Every client checks its paged stream against the one-shot enumeration of
 //! the same plan, alpha-renamed requests are shown hitting one plan-cache
 //! entry, and a selection predicate (`y = 7` / `a = "…"`, §2.1's
-//! linear-time filtered-copy preprocessing) is verified against the
+//! linear-time row-list preprocessing) is verified against the
 //! predicate-aware naive-SQL oracle — so this example doubles as a smoke
 //! test (it panics on any divergence; CI runs it).
 //!

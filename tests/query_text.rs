@@ -1,7 +1,8 @@
 //! Cross-crate tests for the `QuerySpec` request API: the textual path is
 //! bit-identical to the builder path, the parse→print→parse fixpoint holds,
 //! randomized specs with selection predicates agree with the
-//! predicate-aware naive-SQL oracle across all six algorithms, the query
+//! predicate-aware naive-SQL oracle across all six algorithms (witnesses
+//! included: each names an input tuple, selections or not), the query
 //! service answers text and struct requests identically (sharing one plan
 //! cache entry for alpha-equivalent requests), and the on-disk parser
 //! corpus produces typed errors, never panics.
@@ -11,7 +12,7 @@ use anyk::engine::{naive_sql, Answer, RankedQuery, RankingFunction};
 use anyk::prelude::Algorithm;
 use anyk::query::{parse_query, Atom, Predicate, QueryBuilder, QuerySpec};
 use anyk::server::QueryService;
-use anyk::storage::{Database, Relation, Schema, Value};
+use anyk::storage::{Database, Relation, Schema, TupleId, Value};
 use proptest::prelude::*;
 
 /// A random database of `ell` binary relations with values in a small domain
@@ -96,15 +97,36 @@ fn random_spec() -> impl Strategy<Value = QuerySpec> {
     )
 }
 
-/// Collapse an answer stream into a sorted multiset fingerprint that is
-/// stable across tie orders: (values, weight in fixed-point).
-fn multiset(answers: impl IntoIterator<Item = Answer>) -> Vec<(Vec<Value>, i64)> {
-    let mut out: Vec<(Vec<Value>, i64)> = answers
+/// One answer's fingerprint: values, weight in fixed-point, and the sorted
+/// witness (`(atom, tuple id)` pairs naming input tuples).
+type Fingerprint = (Vec<Value>, i64, Vec<(usize, TupleId)>);
+
+/// Collapse an acyclic plan's answer stream into a sorted multiset of
+/// fingerprints that is stable across tie orders.
+fn multiset(answers: impl IntoIterator<Item = Answer>) -> Vec<Fingerprint> {
+    let mut out: Vec<Fingerprint> = answers
         .into_iter()
-        .map(|a| (a.values().to_vec(), (a.weight() * 1e6).round() as i64))
+        .map(|a| {
+            let mut witness = a.witness().to_vec();
+            witness.sort_unstable();
+            (
+                a.values().to_vec(),
+                (a.weight() * 1e6).round() as i64,
+                witness,
+            )
+        })
         .collect();
     out.sort();
     out
+}
+
+/// [`multiset`] without witnesses, for cycle plans: their answers carry
+/// none, since bag tuples are not input tuples.
+fn value_multiset(answers: impl IntoIterator<Item = Answer>) -> Vec<(Vec<Value>, i64)> {
+    multiset(answers)
+        .into_iter()
+        .map(|(values, weight, _)| (values, weight))
+        .collect()
 }
 
 /// The any-k spec path agrees with the predicate-aware oracle: same answer
@@ -199,8 +221,8 @@ proptest! {
     #[test]
     fn repeated_variable_queries_match_the_oracle_via_both_apis(db in random_db(2, 15)) {
         // `R1(x, x), R2(x, y)` through the builder (struct) path: the
-        // filtered-copy rewrite closes the old "not supported directly"
-        // caveat without the caller doing anything.
+        // row-list selection closes the old "not supported directly" caveat
+        // without the caller doing anything.
         let query = QueryBuilder::new()
             .atom("R1", &["x", "x"])
             .atom("R2", &["x", "y"])
@@ -263,7 +285,7 @@ fn service_text_and_struct_sessions_page_identically_for_all_algorithms() {
 }
 
 #[test]
-fn cyclic_text_queries_with_predicates_decompose_over_filtered_copies() {
+fn cyclic_text_queries_with_predicates_decompose_over_selected_rows() {
     // A 4-cycle with both heavy hubs (value 0) and light values, queried
     // through text with a selection on one cycle attribute: the pushdown
     // runs before the cycle decomposition, so every partition enumerates
@@ -292,8 +314,8 @@ fn cyclic_text_queries_with_predicates_decompose_over_filtered_copies() {
             assert_eq!(a.values()[1], 3, "{algorithm}: selection pushed down");
         }
         assert_eq!(
-            multiset(answers),
-            multiset(oracle.iter().cloned()),
+            value_multiset(answers),
+            value_multiset(oracle.iter().cloned()),
             "{algorithm}"
         );
     }

@@ -76,6 +76,7 @@ proptest! {
     fn index_build_and_lookup_agree_with_oracle(
         oracle in random_rows(3, 40),
         key_choice in 0usize..4,
+        keep in any::<u64>(),
     ) {
         let key_cols: &[usize] = match key_choice {
             0 => &[0],
@@ -102,6 +103,37 @@ proptest! {
         let mut covered: Vec<usize> = idx.groups().flat_map(|(_, tids)| tids.to_vec()).collect();
         covered.sort_unstable();
         prop_assert_eq!(covered, (0..oracle.len()).collect::<Vec<_>>());
+
+        // A row list of every row builds the same index as `build`.
+        let all: Vec<usize> = (0..oracle.len()).collect();
+        let listed = HashIndex::build_rows(&r, key_cols, Some(&all));
+        prop_assert_eq!(listed.num_groups(), idx.num_groups());
+        for (tid, row) in r.iter() {
+            let key: Vec<Value> = key_cols.iter().map(|&c| row.value(c)).collect();
+            prop_assert_eq!(listed.lookup(&key), idx.lookup(&key));
+            prop_assert_eq!(listed.group_of_tuple(tid), idx.group_of_tuple(tid));
+        }
+
+        // Over a strict subset, lookups return only the listed ids, and the
+        // retained row→group map is addressed by position in the list.
+        let mut rows: Vec<usize> = (0..oracle.len()).filter(|&t| keep >> (t % 64) & 1 == 1).collect();
+        if rows.len() == oracle.len() {
+            rows.pop();
+        }
+        let sub = HashIndex::build_rows(&r, key_cols, Some(&rows));
+        for (tid, row) in r.iter() {
+            let key: Vec<Value> = key_cols.iter().map(|&c| row.value(c)).collect();
+            let expected: Vec<usize> = oracle_lookup(&oracle, key_cols, &key)
+                .into_iter()
+                .filter(|t| rows.contains(t))
+                .collect();
+            prop_assert_eq!(sub.lookup(&key), &expected[..]);
+            prop_assert_eq!(sub.group_of_row_in(&r, tid, key_cols), sub.group_of(&key));
+        }
+        for (i, &tid) in rows.iter().enumerate() {
+            let key: Vec<Value> = key_cols.iter().map(|&c| r.tuple(tid).value(c)).collect();
+            prop_assert_eq!(Some(sub.group_of_tuple(i)), sub.group_of(&key));
+        }
     }
 
     #[test]
