@@ -72,10 +72,11 @@ impl Answer {
         self.values()[idx]
     }
 
-    /// The witness: one `(atom index, tuple id)` pair per atom, naming the
-    /// input tuple of the plan's database that the atom matched — with or
-    /// without selections, which never renumber tuples. Empty on a
-    /// cycle-decomposed plan, whose bag tuples are not input tuples.
+    /// The witness: one `(atom index, tuple id)` pair per atom, ascending by
+    /// atom index whatever atom roots the plan's join tree, naming the input
+    /// tuple of the plan's database that the atom matched — with or without
+    /// selections, which never renumber tuples. Empty on a cycle-decomposed
+    /// plan, whose bag tuples are not input tuples.
     pub fn witness(&self) -> &[(usize, TupleId)] {
         self.witness.as_slice()
     }

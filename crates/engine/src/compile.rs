@@ -17,9 +17,8 @@ use crate::select::Selection;
 use anyk_core::dioid::{Dioid, OrderedF64};
 use anyk_core::solution::Solution;
 use anyk_core::tdp::{NodeId, StageId, TdpBuilder, TdpInstance};
-use anyk_query::{gyo, ConjunctiveQuery};
+use anyk_query::{gyo, ConjunctiveQuery, JoinTree};
 use anyk_storage::{Database, HashIndex, RowRef, Value};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A compiled acyclic query: the T-DP instance plus the metadata needed to
@@ -28,18 +27,16 @@ use std::sync::Arc;
 pub struct Compiled<D: Dioid> {
     /// The T-DP instance (bottom-up phase already run).
     pub instance: TdpInstance<D>,
-    /// For each output stage (in the instance's serial order): the index of
-    /// the query atom it encodes.
-    output_atoms: Vec<usize>,
-    /// For each output stage (aligned with `output_atoms`): its serial
-    /// position, i.e. where its state sits in a [`Solution`].
+    /// For each atom (by atom index): the serial position of its output
+    /// stage, i.e. where its state sits in a [`Solution`]. A witness lists
+    /// atoms in this order — ascending, whichever atom roots the tree.
     output_positions: Vec<usize>,
     /// Relation name per atom.
     pub(crate) atom_relations: Vec<String>,
     /// The query's head variables.
     head_vars: Vec<String>,
-    /// For each head variable: (position within `output_atoms`, column of
-    /// that atom's relation holding the variable's value).
+    /// For each head variable: (the first atom binding it, column of that
+    /// atom's relation holding the variable's value).
     var_sources: Vec<(usize, usize)>,
     /// The tuple↔state bookkeeping needed to maintain the instance under
     /// input deltas (see `crate::refresh`); captured only when
@@ -123,7 +120,8 @@ where
 /// additionally keeps the full T-DP topology and the tuple↔state
 /// bookkeeping needed for [`crate::refresh`] (one extra CSR copy plus `O(n)`
 /// state maps). A plan over a non-trivial selection never keeps it, since
-/// refresh maps states by tuple id over every row.
+/// refresh maps states by tuple id over every row. The join tree is GYO's,
+/// rerooted at [`plan_root`].
 ///
 /// Structural defects — a join-tree key not bound by its atom, a head
 /// variable missing from the body — surface as typed
@@ -143,6 +141,51 @@ where
     validate(db, query)?;
     let join_tree = gyo::join_tree(query.atoms())
         .ok_or_else(|| EngineError::UnsupportedCyclicQuery(query.to_string()))?;
+    let join_tree = join_tree.rerooted(plan_root(db, query, &join_tree, selection));
+    compile_over(db, query, &join_tree, selection, weight_fn, retain_delta)
+}
+
+/// The atom a plan's join tree is rooted at. Any atom may root a T-DP (§3):
+/// a non-root state's bottom-up value depends only on its subtree. A plan
+/// over every row keeps the GYO root. Under a selection the root is the
+/// atom with the fewest rows — a selected atom counts its row list, an
+/// unselected one its relation. Every row of the root becomes a state, with
+/// a value node per join key below it, before the bottom-up pass prunes
+/// those that reach no answer; this rule sizes them by what the selection
+/// keeps. A tie goes to the GYO root, else to the lowest atom index.
+fn plan_root(
+    db: &Database,
+    query: &ConjunctiveQuery,
+    join_tree: &JoinTree,
+    selection: &Selection,
+) -> usize {
+    let gyo_root = join_tree.root();
+    if selection.is_trivial() {
+        return gyo_root;
+    }
+    let rows = |a: usize| {
+        let relation = db.expect(&query.atoms()[a].relation);
+        selection.tuple_ids(a, relation).len()
+    };
+    (0..query.atoms().len())
+        .min_by_key(|&a| (rows(a), a != gyo_root, a))
+        .expect("a query has at least one atom")
+}
+
+/// [`compile_with_opts`] over an explicit, valid join tree of `query`,
+/// rooted where the plan's root stage belongs.
+fn compile_over<D, F>(
+    db: &Database,
+    query: &ConjunctiveQuery,
+    join_tree: &JoinTree,
+    selection: &Selection,
+    weight_fn: F,
+    retain_delta: bool,
+) -> Result<Compiled<D>, EngineError>
+where
+    D: Dioid<V = OrderedF64>,
+    F: Fn(RowRef<'_>) -> f64,
+{
     let retain_delta = retain_delta && selection.is_trivial();
     let atoms = query.atoms();
     let order = join_tree.traversal_order();
@@ -275,34 +318,37 @@ where
 
     let instance = builder.build();
 
-    // Map serial output stages back to atom indices.
-    let stage_to_atom: HashMap<StageId, usize> = stage_of_atom
-        .iter()
-        .enumerate()
-        .filter_map(|(a, s)| s.map(|s| (s, a)))
+    // Each atom's serial position, in atom order: fixed once per plan, so a
+    // witness lists atoms ascending, whichever atom roots the tree, at no
+    // per-answer cost.
+    let stage_of_atom: Vec<StageId> = stage_of_atom
+        .into_iter()
+        .map(|s| s.expect("every atom was visited"))
         .collect();
-    let (output_positions, output_atoms): (Vec<usize>, Vec<usize>) = instance
-        .serial_order()
+    let serial = instance.serial_order();
+    let output_positions = stage_of_atom
         .iter()
-        .enumerate()
-        .filter(|(_, sid)| instance.stage(**sid).is_output)
-        .map(|(pos, sid)| (pos, stage_to_atom[sid]))
-        .unzip();
+        .map(|s| {
+            serial
+                .iter()
+                .position(|x| x == s)
+                .expect("a stage is serial")
+        })
+        .collect();
 
     // Where does each head variable come from?
     let head_vars = query.head_variables();
     let var_sources = head_vars
         .iter()
         .map(|v| {
-            output_atoms
+            atoms
                 .iter()
                 .enumerate()
-                .find_map(|(pos, &a)| {
-                    atoms[a]
-                        .variables
+                .find_map(|(a, atom)| {
+                    atom.variables
                         .iter()
                         .position(|x| x == v)
-                        .map(|col| (pos, col))
+                        .map(|col| (a, col))
                 })
                 .ok_or_else(|| {
                     EngineError::Query(anyk_query::QueryError::UnknownHeadVariable {
@@ -314,10 +360,7 @@ where
 
     let delta = retain_delta.then(|| DeltaSupport {
         order: order.to_vec(),
-        stage_of_atom: stage_of_atom
-            .iter()
-            .map(|s| s.expect("every atom was visited"))
-            .collect(),
+        stage_of_atom,
         parent_link,
         children: tree_children,
         states: states_of_atom,
@@ -325,7 +368,6 @@ where
 
     Ok(Compiled {
         instance,
-        output_atoms,
         output_positions,
         atom_relations: atoms.iter().map(|a| a.relation.clone()).collect(),
         head_vars,
@@ -335,11 +377,6 @@ where
 }
 
 impl<D: Dioid<V = OrderedF64>> Compiled<D> {
-    /// The atoms encoded by the instance's output stages, in serial order.
-    pub fn output_atoms(&self) -> &[usize] {
-        &self.output_atoms
-    }
-
     /// Whether the plan carries the tuple↔state bookkeeping needed by delta
     /// maintenance (compiled through `compile_with_opts` with `retain_delta`
     /// over every row).
@@ -384,9 +421,9 @@ impl<'s, D: Dioid<V = OrderedF64>> Assembler<'s, D> {
         let columns = compiled
             .var_sources
             .iter()
-            .map(|&(pos, col)| {
-                let relation = db.expect(&compiled.atom_relations[compiled.output_atoms[pos]]);
-                (compiled.output_positions[pos], relation.column(col))
+            .map(|&(atom, col)| {
+                let relation = db.expect(&compiled.atom_relations[atom]);
+                (compiled.output_positions[atom], relation.column(col))
             })
             .collect();
         Assembler {
@@ -414,16 +451,16 @@ impl<'s, D: Dioid<V = OrderedF64>> Assembler<'s, D> {
         let tuple = |pos: usize| instance.payload(states[pos]) as usize;
         let values = self.columns.iter().map(|&(pos, col)| col[tuple(pos)]);
         let c = self.compiled;
-        // A cycle tree keeps no witness: an empty zip, not a second path.
+        // A cycle tree keeps no witness: an empty slice, not a second path.
         let kept = if self.witness {
-            c.output_atoms.len()
+            c.output_positions.len()
         } else {
             0
         };
-        let witness = c.output_atoms[..kept]
+        let witness = c.output_positions[..kept]
             .iter()
-            .zip(&c.output_positions)
-            .map(|(&atom, &pos)| (atom, tuple(pos)));
+            .enumerate()
+            .map(|(atom, &pos)| (atom, tuple(pos)));
         Answer::from_iters(weight, values, witness)
     }
 }
@@ -541,6 +578,112 @@ mod tests {
         assert_eq!(answers[0].weight(), 3.0);
         for w in answers.windows(2) {
             assert!(w[0].weight() <= w[1].weight());
+        }
+    }
+
+    /// A seeded database with a relation per atom of `query`: `rows` rows
+    /// each, values drawn from `0..3`, integer weights — from `0..4` (heavy
+    /// ties) or, when `distinct`, a power of two per tuple, so that answers
+    /// over distinct tuples have distinct totals.
+    fn seeded_db(seed: u64, query: &ConjunctiveQuery, rows: usize, distinct: bool) -> Database {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut db = Database::new();
+        let mut tuples = 0;
+        for atom in query.atoms() {
+            let mut r = Relation::new(atom.relation.as_str(), atom.arity());
+            for _ in 0..rows {
+                let row: Vec<Value> = (0..atom.arity()).map(|_| next() % 3).collect();
+                let weight = if distinct {
+                    (tuples as f64).exp2()
+                } else {
+                    (next() % 4) as f64
+                };
+                r.push_row(&row, weight);
+                tuples += 1;
+            }
+            db.add(r);
+        }
+        db
+    }
+
+    #[test]
+    fn every_valid_root_yields_the_same_answers() {
+        // A path, a star, a branching tree and a two-column join key, each
+        // over every row and under a one-atom or two-atom selection.
+        let cases = [
+            (
+                "Q(a, b, c, d, e) :- A(a, b), B(b, c), C(c, d), D(d, e)",
+                "c = 1",
+            ),
+            ("Q(h, x, y, z) :- A(h, x), B(h, y), C(h, z)", "y = 2"),
+            (
+                "Q(a, b, c, d, e) :- A(a, b), B(b, c), C(b, d), D(d, e)",
+                "e = 0",
+            ),
+            (
+                "Q(a, b, c, d, e) :- A(a, b, c), B(a, b, d), C(c, e)",
+                "d = 2",
+            ),
+        ];
+        type Stream = Vec<(u64, Vec<Value>, Vec<(usize, usize)>)>;
+        let sorted = |s: &Stream| {
+            let mut s = s.clone();
+            s.sort();
+            s
+        };
+        for (case, (body, predicate)) in cases.iter().enumerate() {
+            for (text, distinct) in [body.to_string(), format!("{body}, {predicate}")]
+                .into_iter()
+                .flat_map(|t| [(t.clone(), false), (t, true)])
+            {
+                let spec = anyk_query::QuerySpec::parse(&text).unwrap();
+                let q = spec.to_query().unwrap();
+                let tree = gyo::join_tree(q.atoms()).unwrap();
+                let db = seeded_db(case as u64 + 1, &q, 12, distinct);
+                let selection = crate::select::select(&db, &q, &spec.predicates).unwrap();
+                let stream = |tree: &JoinTree, algorithm: AnyKAlgorithm| -> Stream {
+                    let c = compile_over::<TropicalMin, _>(
+                        &db,
+                        &q,
+                        tree,
+                        &selection,
+                        |t| t.weight(),
+                        false,
+                    )
+                    .unwrap();
+                    ranked_enumerate(&c.instance, algorithm)
+                        .map(|s| c.assemble(&db, &s, |w| w))
+                        .map(|a| {
+                            let weight = a.weight().to_bits();
+                            (weight, a.values().to_vec(), a.witness().to_vec())
+                        })
+                        .collect()
+                };
+                let reference = stream(&tree, AnyKAlgorithm::Eager);
+                assert!(!reference.is_empty(), "{text}: no answers");
+                let totals_distinct = reference.windows(2).all(|w| w[0].0 != w[1].0);
+                assert_eq!(totals_distinct, distinct, "{text}");
+                for root in 0..q.atoms().len() {
+                    for algorithm in AnyKAlgorithm::ALL {
+                        let got = stream(&tree.rerooted(root), algorithm);
+                        let ctx = format!("{text}, root {root}, {algorithm}, distinct {distinct}");
+                        let weights = got.iter().map(|a| f64::from_bits(a.0));
+                        assert!(weights.is_sorted(), "{ctx}: weights decrease");
+                        // Non-decreasing streams with one multiset have one
+                        // multiset within each weight.
+                        assert_eq!(sorted(&got), sorted(&reference), "{ctx}");
+                        if distinct {
+                            assert_eq!(got, reference, "{ctx}");
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -25,7 +25,7 @@
 use crate::compile::validate;
 use crate::error::EngineError;
 use anyk_query::{ConjunctiveQuery, Constant, Predicate};
-use anyk_storage::{Database, Relation, RowRef, TupleId, Value};
+use anyk_storage::{Database, Relation, TupleId, Value};
 
 /// The rows each atom of a query ranges over after selection pushdown.
 #[derive(Debug, Default)]
@@ -75,10 +75,36 @@ impl AtomSelection {
         self.consts.is_empty() && self.eqs.is_empty() && !self.unsatisfiable
     }
 
-    fn matches(&self, row: RowRef<'_>) -> bool {
-        !self.unsatisfiable
-            && self.consts.iter().all(|&(col, v)| row.value(col) == v)
-            && self.eqs.iter().all(|&(a, b)| row.value(a) == row.value(b))
+    /// The ascending ids of `relation`'s rows that pass: one scan of the
+    /// first constant's column (of every row when there is none), with the
+    /// other constraints tested only on the rows it keeps.
+    fn rows(&self, relation: &Relation) -> Vec<TupleId> {
+        if self.unsatisfiable {
+            return Vec::new();
+        }
+        let consts: Vec<(&[Value], Value)> = self
+            .consts
+            .iter()
+            .map(|&(col, v)| (relation.column(col), v))
+            .collect();
+        let eqs: Vec<(&[Value], &[Value])> = self
+            .eqs
+            .iter()
+            .map(|&(a, b)| (relation.column(a), relation.column(b)))
+            .collect();
+        let rest = |tid: TupleId| {
+            consts.iter().skip(1).all(|&(col, v)| col[tid] == v)
+                && eqs.iter().all(|&(a, b)| a[tid] == b[tid])
+        };
+        match consts.first() {
+            Some(&(col, v)) => col
+                .iter()
+                .enumerate()
+                .filter(|&(tid, &x)| x == v && rest(tid))
+                .map(|(tid, _)| tid)
+                .collect(),
+            None => (0..relation.len()).filter(|&tid| rest(tid)).collect(),
+        }
     }
 }
 
@@ -152,14 +178,7 @@ pub(crate) fn select(
     let rows = atoms
         .iter()
         .zip(&selections)
-        .map(|(atom, sel)| {
-            (!sel.is_trivial()).then(|| {
-                let relation = db.expect(&atom.relation);
-                (0..relation.len())
-                    .filter(|&tid| sel.matches(relation.tuple(tid)))
-                    .collect()
-            })
-        })
+        .map(|(atom, sel)| (!sel.is_trivial()).then(|| sel.rows(db.expect(&atom.relation))))
         .collect();
     Ok(Selection { rows })
 }
@@ -285,14 +304,9 @@ mod tests {
         db.add(r);
         db.add(s);
         let spec = QuerySpec::parse("Q(x, y, z) :- R(x, y), S(y, z), x = 3").unwrap();
-        let sorted_witness = |a: &crate::Answer| {
-            let mut w = a.witness().to_vec();
-            w.sort_unstable();
-            w
-        };
         let oracle = crate::naive_sql::join_and_sort_spec(&db, &spec).unwrap();
         assert_eq!(oracle.len(), 1);
-        assert_eq!(sorted_witness(&oracle[0]), [(0, 2), (1, 2)]);
+        assert_eq!(oracle[0].witness(), [(0, 2), (1, 2)]);
 
         let db = std::sync::Arc::new(db);
         let ranked = crate::RankedQuery::from_spec(&db, &spec).unwrap();
@@ -304,7 +318,7 @@ mod tests {
             ] {
                 assert_eq!(answers.len(), 1, "{algorithm}");
                 assert_eq!(answers[0].values(), &[3, 30, 300]);
-                assert_eq!(sorted_witness(&answers[0]), [(0, 2), (1, 2)], "{algorithm}");
+                assert_eq!(answers[0].witness(), [(0, 2), (1, 2)], "{algorithm}");
             }
         }
     }
@@ -346,14 +360,7 @@ mod tests {
         spec.predicates = preds.to_vec();
         let oracle = crate::naive_sql::join_and_sort_spec(&db, &spec).unwrap();
         let witnesses = |answers: &[crate::Answer]| -> Vec<Vec<(usize, TupleId)>> {
-            answers
-                .iter()
-                .map(|a| {
-                    let mut w = a.witness().to_vec();
-                    w.sort_unstable();
-                    w
-                })
-                .collect()
+            answers.iter().map(|a| a.witness().to_vec()).collect()
         };
         let expected = [
             vec![(0, 0), (1, 3)],

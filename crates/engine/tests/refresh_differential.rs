@@ -336,9 +336,12 @@ fn a_warm_root_cache_never_leaks_into_the_refreshed_plan() {
 
         let mut pinned = plan.enumerate(alg);
         let top = pinned.next().expect("the instance has answers");
-        // Witnesses list atoms in the plan's serial order, root stage first;
-        // atom `i` of the path is `R{i+1}(x_i, x_{i+1})`.
-        let (atom, top_root_tuple) = top.witness()[0];
+        // An unfiltered plan is rooted at the GYO root, and witnesses list
+        // atoms in atom order; atom `i` of the path is `R{i+1}(x_i, x_{i+1})`.
+        let root = anyk_query::gyo::join_tree(spec.to_query().unwrap().atoms())
+            .unwrap()
+            .root();
+        let (atom, top_root_tuple) = top.witness()[root];
         let root_relation = format!("R{}", atom + 1);
         let batch = DeltaBatch::new()
             .delete(&root_relation, top_root_tuple)

@@ -77,8 +77,9 @@ impl JoinTree {
     }
 
     /// The same tree re-rooted at `new_root` (parent pointers along the path
-    /// from the old root are reversed). Used to root the tree at an atom that
-    /// covers free variables (§8.1).
+    /// from the old root are reversed); re-rooting at the current root
+    /// returns an equal tree. The engine's compile calls it to root a plan
+    /// over a selection at its atom with the fewest rows.
     pub fn rerooted(&self, new_root: usize) -> JoinTree {
         assert!(new_root < self.parent.len(), "unknown atom index");
         let mut parent = self.parent.clone();
@@ -195,6 +196,11 @@ pub fn gyo_reduce_edges(edges: Vec<BTreeSet<String>>) -> Option<Vec<(usize, Opti
 }
 
 /// Build a join tree for the atoms of an acyclic query; `None` if cyclic.
+///
+/// The root is the last component root the reduction removes. This is not
+/// necessarily a plan's root: the engine's compile (`plan_root` in
+/// `anyk_engine::compile`) keeps it for a plan over every row and reroots a
+/// plan over a selection at its atom with the fewest rows.
 pub fn join_tree(atoms: &[Atom]) -> Option<JoinTree> {
     let edges: Vec<BTreeSet<String>> = atoms
         .iter()
@@ -276,6 +282,7 @@ mod tests {
     fn rerooting_preserves_edges_and_running_intersection() {
         let q = QueryBuilder::path(4).build();
         let t = join_tree(q.atoms()).unwrap();
+        assert_eq!(t.rerooted(t.root()), t, "re-rooting at the root is a no-op");
         for new_root in 0..4 {
             let r = t.rerooted(new_root);
             assert_eq!(r.root(), new_root);

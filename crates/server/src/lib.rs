@@ -18,8 +18,8 @@
 //! * [`QueryService::open_session_text`] is the one entry point from a
 //!   string to ranked pages: it parses the textual query language
 //!   (`Q(x, z) :- R(x, y), S(y, z), y = 7 rank by sum limit 1000`, see
-//!   [`anyk_query::parse`]), pushes the selections down to filtered
-//!   relation copies, and opens a session — parse and validation failures
+//!   [`anyk_query::parse`]), pushes the selections down to row lists over
+//!   the base relations, and opens a session — parse and validation failures
 //!   surface as typed [`ServiceError::Parse`] / [`ServiceError::Engine`]
 //!   values, never panics.
 //! * [`QueryService::prepare`] / [`QueryService::prepare_spec`] compile a

@@ -497,7 +497,7 @@ pub struct QueryService {
     /// compiled right now. A stampede of requests for the same new plan
     /// elects one compiler; the rest block on its flight mutex and then
     /// find the plan in the cache — the compile runs once, not N times.
-    plan_flights: Mutex<HashMap<PlanKey, Arc<Mutex<()>>>>,
+    plan_flights: PlanFlights,
     plan_cache_capacity: usize,
     plan_clock: AtomicU64,
     session_shards: Vec<SessionShard>,
@@ -520,6 +520,44 @@ macro_rules! lock {
     ($e:expr) => {
         $e.unwrap_or_else(|poisoned| poisoned.into_inner())
     };
+}
+
+/// The single-flight registry: one mutex per plan key being compiled.
+type PlanFlights = Mutex<HashMap<PlanKey, Arc<Mutex<()>>>>;
+
+/// One thread's place in the single-flight registry for one plan key: the
+/// flight it joined, or opened when none was registered. Dropping the ticket
+/// retires that flight on every exit path, the re-check hit included, but
+/// only while the registry still holds *this* flight: a newer one, opened by
+/// another thread after this flight was retired (say, after a failed
+/// compile), stays for the threads that wait on it.
+struct FlightTicket<'a> {
+    flights: &'a PlanFlights,
+    key: &'a PlanKey,
+    flight: Arc<Mutex<()>>,
+}
+
+impl<'a> FlightTicket<'a> {
+    fn join(flights: &'a PlanFlights, key: &'a PlanKey) -> Self {
+        let flight = Arc::clone(lock!(flights.lock()).entry(key.clone()).or_default());
+        FlightTicket {
+            flights,
+            key,
+            flight,
+        }
+    }
+}
+
+impl Drop for FlightTicket<'_> {
+    fn drop(&mut self) {
+        let mut flights = lock!(self.flights.lock());
+        if flights
+            .get(self.key)
+            .is_some_and(|f| Arc::ptr_eq(f, &self.flight))
+        {
+            flights.remove(self.key);
+        }
+    }
 }
 
 /// Run `f` with panics converted to [`ServiceError::Panicked`] — the
@@ -644,8 +682,9 @@ impl QueryService {
         Some(Arc::clone(&entry.plan))
     }
 
-    /// Compile `spec` — selection predicates pushed down to filtered
-    /// relation copies — or return the memoised plan if a request with the
+    /// Compile `spec` — selection predicates pushed down to row lists over
+    /// the snapshot's base relations, the plan rooted at the atom with the
+    /// fewest rows — or return the memoised plan if a request with the
     /// same [`QuerySpec::plan_key`] was prepared before over the *current
     /// generation* (the spec's `algorithm` and `limit` are per-session
     /// attributes and do not fragment the cache; the generation half of the
@@ -681,14 +720,26 @@ impl QueryService {
         if let Some(plan) = self.cached_plan(key) {
             return Ok(plan);
         }
-        let flight = Arc::clone(
-            lock!(self.plan_flights.lock())
-                .entry(key.clone())
-                .or_default(),
-        );
-        let _compiling = lock!(flight.lock());
+        self.compile_in_flight(snap, spec, key)
+    }
+
+    /// The cache-miss half of [`QueryService::prepare_on`]: join `key`'s
+    /// flight (opening one if none is registered), and under its lock
+    /// compile unless the plan was cached meanwhile. The flight leaves the
+    /// registry when this returns, by whichever path (see [`FlightTicket`]).
+    fn compile_in_flight(
+        &self,
+        snap: &Arc<Snapshot>,
+        spec: &QuerySpec,
+        key: &PlanKey,
+    ) -> Result<Arc<PreparedQuery>, ServiceError> {
+        let ticket = FlightTicket::join(&self.plan_flights, key);
+        let _compiling = lock!(ticket.flight.lock());
         // Re-check under the flight lock: if another thread won the race,
-        // its plan is in the cache by the time its flight lock releases.
+        // its plan is in the cache by the time its flight lock releases —
+        // and a racer that missed the cache before the winner cached it may
+        // have opened a fresh flight of its own here, which its ticket
+        // retires.
         if let Some(plan) = self.cached_plan(key) {
             return Ok(plan);
         }
@@ -700,15 +751,9 @@ impl QueryService {
             PreparedQuery::from_spec_delta(Arc::clone(&snap.db), &stripped)
         })
         .and_then(|r| r.map_err(ServiceError::from));
-        let prepared = match compiled {
-            Ok(p) => Arc::new(p),
-            Err(e) => {
-                // Failed flight: retire it so late arrivals retry the
-                // compile themselves instead of waiting on a dead lock.
-                lock!(self.plan_flights.lock()).remove(key);
-                return Err(e);
-            }
-        };
+        // A failed flight is retired by the ticket too, so late arrivals
+        // retry the compile themselves instead of waiting on a dead lock.
+        let prepared = Arc::new(compiled?);
         let out;
         {
             let mut plans = lock!(self.plans.write());
@@ -739,11 +784,10 @@ impl QueryService {
                 self.plan_obs.retain(|k| cached.contains(k));
             }
         }
-        // Retire the flight only now that the plan is visible in the cache:
-        // a late arrival either joins this flight (and re-checks the cache
-        // once the lock releases) or misses the flight map entirely and
-        // finds the cached plan directly.
-        lock!(self.plan_flights.lock()).remove(key);
+        // The ticket retires the flight on return, only now that the plan is
+        // visible in the cache: a late arrival either joins this flight (and
+        // re-checks the cache once the lock releases) or misses the flight
+        // map entirely and finds the cached plan directly.
         Ok(out)
     }
 
@@ -1496,6 +1540,35 @@ mod tests {
         assert!(plans.windows(2).all(|w| Arc::ptr_eq(&w[0], &w[1])));
         // The flight registry drains: nothing left once compiles settle.
         assert!(lock!(service.plan_flights.lock()).is_empty());
+    }
+
+    #[test]
+    fn a_late_racer_retires_the_flight_it_opened() {
+        // The interleaving a stampede hits now and then, made deterministic:
+        // a racer misses the cache, the winner caches the plan and retires
+        // its flight, then the racer opens a fresh flight and finds the plan
+        // on its re-check. That flight must leave with the racer.
+        let service = QueryService::new(path_db());
+        let spec = QuerySpec::from_query(
+            &QueryBuilder::path(2).build(),
+            RankingFunction::SumAscending,
+        );
+        let winner = service.prepare_spec(&spec).unwrap();
+        let snap = service.current_snapshot();
+        let key = (snap.generation, spec.plan_key());
+        let late = service.compile_in_flight(&snap, &spec, &key).unwrap();
+        assert!(Arc::ptr_eq(&winner, &late));
+        assert_eq!(service.metrics().plan_misses, 1, "the racer hit the cache");
+        assert!(lock!(service.plan_flights.lock()).is_empty());
+
+        // A ticket retires only its own flight: one that another thread
+        // opened after this flight was retired stays registered.
+        let ticket = FlightTicket::join(&service.plan_flights, &key);
+        let newer = Arc::new(Mutex::new(()));
+        lock!(service.plan_flights.lock()).insert(key.clone(), Arc::clone(&newer));
+        drop(ticket);
+        let flights = lock!(service.plan_flights.lock());
+        assert!(Arc::ptr_eq(&flights[&key], &newer));
     }
 
     #[test]

@@ -134,9 +134,11 @@ fn filtered_streams_over_tcp_carry_the_oracles_base_witnesses() {
         let mut out: Vec<_> = answers
             .iter()
             .map(|a| {
-                let mut witness = a.witness().to_vec();
-                witness.sort_unstable();
-                (a.values().to_vec(), a.weight().to_bits(), witness)
+                (
+                    a.values().to_vec(),
+                    a.weight().to_bits(),
+                    a.witness().to_vec(),
+                )
             })
             .collect();
         out.sort();

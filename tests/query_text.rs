@@ -97,8 +97,8 @@ fn random_spec() -> impl Strategy<Value = QuerySpec> {
     )
 }
 
-/// One answer's fingerprint: values, weight in fixed-point, and the sorted
-/// witness (`(atom, tuple id)` pairs naming input tuples).
+/// One answer's fingerprint: values, weight in fixed-point, and the witness
+/// (`(atom, tuple id)` pairs naming input tuples, in atom order).
 type Fingerprint = (Vec<Value>, i64, Vec<(usize, TupleId)>);
 
 /// Collapse an acyclic plan's answer stream into a sorted multiset of
@@ -107,12 +107,10 @@ fn multiset(answers: impl IntoIterator<Item = Answer>) -> Vec<Fingerprint> {
     let mut out: Vec<Fingerprint> = answers
         .into_iter()
         .map(|a| {
-            let mut witness = a.witness().to_vec();
-            witness.sort_unstable();
             (
                 a.values().to_vec(),
                 (a.weight() * 1e6).round() as i64,
-                witness,
+                a.witness().to_vec(),
             )
         })
         .collect();
@@ -344,6 +342,28 @@ fn service_sessions_with_predicates_match_the_oracle() {
         }
     }
     assert_eq!(multiset(paged), multiset(oracle));
+}
+
+#[test]
+fn a_filtered_plan_is_sized_by_its_selection() {
+    // `x3 = 47` keeps about ten of R2's and R3's 2 000 rows. The plan is
+    // rooted at one of those atoms, not at the unselected R4, so a
+    // session's successor table counts states of the selected answers'
+    // rows, not every row of R4 and its value nodes.
+    use anyk::datagen::{rng, uniform::path_or_star_database};
+    let db = std::sync::Arc::new(path_or_star_database(4, 2000, &mut rng(3)));
+    let spec = QuerySpec::parse(
+        "Q(x1, x2, x3, x4, x5) :- R1(x1, x2), R2(x2, x3), R3(x3, x4), R4(x4, x5), x3 = 47",
+    )
+    .unwrap();
+    let plan = anyk::engine::PreparedQuery::from_spec(std::sync::Arc::clone(&db), &spec).unwrap();
+    let mem = plan.mem_profile(AnyKAlgorithm::Lazy, 1).unwrap();
+    assert!(
+        mem.structure_table_slots <= 200,
+        "{} successor-table slots for a plan over ~20 selected rows",
+        mem.structure_table_slots
+    );
+    assert_spec_matches_oracle(&db, &spec);
 }
 
 #[test]
