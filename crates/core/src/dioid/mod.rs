@@ -20,14 +20,12 @@
 //! | [`BooleanDioid`] | `({0,1}, ∨, ∧, 0, 1)` with inverted order | unranked enumeration / Boolean CQs |
 //! | [`MaxTimes`] | `([0,∞), max, ×, 0, 1)` | bag-semantics multiplicity ranking |
 //! | [`Lexicographic`] | vectors under element-wise `+`, lexicographic order | per-relation lexicographic ranking (§2.2) |
-//! | [`TieBreak<D>`] | product of `D` with a lexicographic witness id (§6.3) | consistent tie-breaking for UT-DP duplicate elimination |
 
 mod boolean;
 mod lex;
 mod maxtimes;
 mod minmax;
 mod ordered_f64;
-mod tiebreak;
 mod tropical;
 
 pub use boolean::{BoolRank, BooleanDioid};
@@ -35,7 +33,6 @@ pub use lex::{LexVec, Lexicographic};
 pub use maxtimes::{MaxTimes, Multiplicity};
 pub use minmax::MinMaxDioid;
 pub use ordered_f64::OrderedF64;
-pub use tiebreak::{TieBreak, TieBroken};
 pub use tropical::{MaxWeight, TropicalMax, TropicalMin};
 
 use std::fmt::Debug;

@@ -1,18 +1,14 @@
-//! UT-DP: ranked enumeration over a **union** of T-DP problems (§5.2),
-//! with on-the-fly elimination of consecutive duplicates (§5.3, §6.3).
+//! UT-DP: ranked enumeration over a **union** of T-DP problems (§5.2).
 //!
 //! A cyclic query is decomposed into a union of trees; each tree is compiled
 //! into its own T-DP instance and enumerated independently. The union
 //! enumerator merges the per-tree ranked streams through one top-level
-//! priority queue — exactly the paper's `Union` structure — and, because the
-//! engine feeds it tie-broken keys (or disjoint decompositions), duplicates
-//! of the same answer arrive consecutively and are dropped with `O(1)` extra
-//! delay per answer (data complexity).
+//! priority queue — exactly the paper's `Union` structure. The simple-cycle
+//! decomposition is disjoint (§5.3.1), so every answer comes from exactly
+//! one tree and the merge keeps every item it is given.
 //!
-//! The enumerator is generic over `(key, item)` pairs so that the engine can
-//! merge already-assembled answers: `key` is the ranking weight (with
-//! tie-breaking if needed) and `item` the answer identity used for duplicate
-//! detection.
+//! The enumerator is generic over `(key, item)` pairs: `key` is the ranking
+//! weight and `item` whatever the caller needs to build the answer.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -43,8 +39,7 @@ impl<K: Ord, T> Ord for Entry<K, T> {
     }
 }
 
-/// Merges several ranked streams into one ranked stream, optionally dropping
-/// consecutive duplicates.
+/// Merges several ranked streams into one ranked stream.
 ///
 /// Each source must itself yield `(key, item)` pairs in non-decreasing `key`
 /// order; the merged stream is then globally non-decreasing.
@@ -55,36 +50,20 @@ where
 {
     sources: Vec<I>,
     heap: BinaryHeap<Reverse<Entry<K, T>>>,
-    last_emitted: Option<T>,
-    dedup: bool,
     started: bool,
 }
 
 impl<K, T, I> UnionEnumerator<K, T, I>
 where
     K: Ord,
-    T: PartialEq + Clone,
     I: Iterator<Item = (K, T)>,
 {
-    /// Merge `sources` without duplicate elimination (disjoint decompositions
-    /// such as the simple-cycle decomposition of §5.3.1).
+    /// Merge `sources`, which must be disjoint (such as the simple-cycle
+    /// decomposition of §5.3.1): every item is kept.
     pub fn new(sources: Vec<I>) -> Self {
-        Self::with_dedup(sources, false)
-    }
-
-    /// Merge `sources`, dropping an answer if it is identical to the
-    /// immediately preceding one (non-disjoint decompositions; requires
-    /// tie-broken keys so duplicates arrive consecutively, §6.3).
-    pub fn deduplicating(sources: Vec<I>) -> Self {
-        Self::with_dedup(sources, true)
-    }
-
-    fn with_dedup(sources: Vec<I>, dedup: bool) -> Self {
         UnionEnumerator {
             sources,
             heap: BinaryHeap::new(),
-            last_emitted: None,
-            dedup,
             started: false,
         }
     }
@@ -114,7 +93,6 @@ where
 impl<K, T, I> Iterator for UnionEnumerator<K, T, I>
 where
     K: Ord,
-    T: PartialEq + Clone,
     I: Iterator<Item = (K, T)>,
 {
     type Item = (K, T);
@@ -123,19 +101,9 @@ where
         if !self.started {
             self.start();
         }
-        loop {
-            let Reverse(entry) = self.heap.pop()?;
-            self.pull(entry.source);
-            if self.dedup {
-                if let Some(last) = &self.last_emitted {
-                    if *last == entry.item {
-                        continue;
-                    }
-                }
-                self.last_emitted = Some(entry.item.clone());
-            }
-            return Some((entry.key, entry.item));
-        }
+        let Reverse(entry) = self.heap.pop()?;
+        self.pull(entry.source);
+        Some((entry.key, entry.item))
     }
 }
 
@@ -151,19 +119,6 @@ mod tests {
             .map(|(k, _)| k)
             .collect();
         assert_eq!(merged, vec![1, 2, 3, 4, 6, 7]);
-    }
-
-    #[test]
-    fn deduplicates_consecutive_identical_items() {
-        // Both streams produce the same answers (as a non-disjoint
-        // decomposition would); keys are unique per answer so duplicates are
-        // adjacent in the merged stream.
-        let a = vec![(1, "x"), (2, "y"), (5, "z")];
-        let b = vec![(1, "x"), (2, "y"), (5, "z")];
-        let merged: Vec<&str> = UnionEnumerator::deduplicating(vec![a.into_iter(), b.into_iter()])
-            .map(|(_, t)| t)
-            .collect();
-        assert_eq!(merged, vec!["x", "y", "z"]);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use anyk_core::dioid::{
     BoolRank, BooleanDioid, Dioid, LexVec, Lexicographic, MaxTimes, MaxWeight, MinMaxDioid,
-    Multiplicity, OrderedF64, TieBreak, TieBroken, TropicalMax, TropicalMin,
+    Multiplicity, OrderedF64, TropicalMax, TropicalMin,
 };
 use proptest::prelude::*;
 
@@ -89,19 +89,6 @@ proptest! {
             LexVec::unit(a.0, a.1),
             LexVec::unit(b.0, b.1),
             LexVec::unit(c.0, c.1),
-        );
-    }
-
-    #[test]
-    fn tiebreak_laws(
-        a in (finite_f64(), 0u32..3, 0u64..100),
-        b in (finite_f64(), 0u32..3, 0u64..100),
-        c in (finite_f64(), 0u32..3, 0u64..100),
-    ) {
-        check_laws::<TieBreak<TropicalMin>>(
-            TieBroken::tagged(OrderedF64::from(a.0), a.1, a.2),
-            TieBroken::tagged(OrderedF64::from(b.0), b.1, b.2),
-            TieBroken::tagged(OrderedF64::from(c.0), c.1, c.2),
         );
     }
 }

@@ -59,25 +59,4 @@ proptest! {
         let spread: Vec<usize> = (0..items.len()).collect();
         prop_assert_eq!(merged_via_union(&items, &spread, sources), single);
     }
-
-    /// With deduplication on (non-disjoint decompositions), duplicated
-    /// items collapse: the merge of a stream unioned with copies of itself
-    /// is the distinct stream.
-    #[test]
-    fn deduplicating_merge_drops_cross_source_copies(
-        items in proptest::collection::vec((0u16..6, 0u32..50), 0..30),
-        copies in 2usize..4,
-    ) {
-        let mut distinct = items.clone();
-        distinct.sort();
-        distinct.dedup();
-        let mut sorted = items.clone();
-        sorted.sort();
-        let sources: Vec<_> = (0..copies)
-            .map(|_| sorted.clone().into_iter().map(|it| (it, it)))
-            .collect();
-        let merged: Vec<Item> =
-            UnionEnumerator::deduplicating(sources).map(|(_, it)| it).collect();
-        prop_assert_eq!(merged, distinct);
-    }
 }

@@ -12,7 +12,9 @@
 //! * [`RankedQuery`] — the user-facing API: ranked enumeration of any full
 //!   CQ (acyclic or simple-cycle) under a [`RankingFunction`], with a
 //!   [`QuerySpec`](anyk_query::QuerySpec) / text entry point
-//!   ([`RankedQuery::from_spec`], [`RankedQuery::from_text`]);
+//!   ([`RankedQuery::from_spec`], [`RankedQuery::from_text`]). Its plan is a
+//!   list of T-DP trees: one over the snapshot for an acyclic query, ℓ + 1
+//!   over bag relations for a simple ℓ-cycle, merged by a ranked union;
 //! * `select` (internal) — selection pushdown: predicates
 //!   (`y = 7`, `name = "alice"`) and repeated variables within an atom
 //!   (`R(x, x)`) become lists of the passing rows, built in one linear pass

@@ -233,7 +233,7 @@ impl PreparedQuery {
         new_db: Arc<Database>,
         batch: &DeltaBatch,
     ) -> Result<PreparedQuery, EngineError> {
-        let (plan, _stats) = self.plan.refresh(&new_db, batch, self.ranking)?;
+        let plan = self.plan.refresh(&new_db, batch, self.ranking)?;
         Ok(PreparedQuery {
             db: new_db,
             query: self.query.clone(),
@@ -265,7 +265,7 @@ impl PreparedQuery {
 
     /// MEM(k) profile; see [`crate::RankedQuery::mem_profile`].
     pub fn mem_profile(&self, algorithm: AnyKAlgorithm, k: usize) -> Option<MemoryStats> {
-        self.plan.mem_profile(algorithm, k)
+        self.plan.mem_profile(&self.db, algorithm, self.ranking, k)
     }
 
     /// Open a new enumeration cursor over this prepared query.

@@ -7,22 +7,21 @@ use crate::error::EngineError;
 use crate::select::Selection;
 use anyk_core::dioid::{Dioid, MinMaxDioid, OrderedF64, TropicalMin};
 use anyk_core::tdp::NodeId;
-use anyk_core::{
-    ranked_enumerate, AnyKAlgorithm, AnyKPart, MemoryStats, RankedIter, SuccessorKind,
-    UnionEnumerator,
-};
+use anyk_core::{ranked_enumerate, AnyKAlgorithm, MemoryStats, RankedIter, UnionEnumerator};
 use anyk_query::ConjunctiveQuery;
 use anyk_query::RankingFunction;
-use anyk_storage::{Database, DeltaBatch, RowRef};
+use anyk_storage::{Database, DeltaBatch};
 
 /// A full conjunctive query prepared for ranked enumeration.
 ///
-/// * Acyclic queries are compiled into a single T-DP instance (§5.1) with
-///   `TTF = O(n)` pre-processing.
-/// * Simple ℓ-cycle queries (ℓ ≥ 4) are decomposed into ℓ + 1 acyclic trees
-///   (§5.3.1) whose ranked streams are merged by a UT-DP union (§5.2); the
-///   pre-processing is `O(n^{2−2/ℓ})`, matching the best known bound for the
-///   Boolean version of the query.
+/// The plan is a list of T-DP trees, the UT-DP of §5.2:
+///
+/// * an acyclic query is one tree over the snapshot (§5.1), with
+///   `TTF = O(n)` pre-processing;
+/// * a simple ℓ-cycle query (ℓ ≥ 4) is ℓ + 1 trees over bag relations, one
+///   per heavy/light partition (§5.3.1, empty partitions dropped), whose
+///   ranked streams a union merges; the pre-processing is `O(n^{2−2/ℓ})`,
+///   matching the best known bound for the Boolean version of the query.
 /// * Other cyclic queries are rejected with
 ///   [`EngineError::UnsupportedCyclicQuery`]; they can still be evaluated
 ///   through [`crate::wcoj`] followed by sorting (without the any-k
@@ -87,7 +86,7 @@ pub trait AnswerStream: Iterator<Item = Answer> + Send {
     }
 }
 
-/// Acyclic plan stream: core solutions assembled into answers.
+/// One tree's stream: core solutions assembled into answers.
 struct AssembleStream<'s, D: Dioid<V = OrderedF64>> {
     inner: RankedIter<'s, D>,
     assembler: Assembler<'s, D>,
@@ -109,10 +108,9 @@ impl<D: Dioid<V = OrderedF64>> AnswerStream for AssembleStream<'_, D> {
     }
 }
 
-/// One source of a cycle-union stream: a decomposition tree's ranked
-/// solutions as `(encoded weight, (tree index, states))`. The union moves
-/// these small items through its heap and assembles only the answer it
-/// emits.
+/// One source of a union stream: a tree's ranked solutions as
+/// `(encoded weight, (tree index, states))`. The union moves these small
+/// items through its heap and assembles only the answer it emits.
 struct TreeSource<'s, D: Dioid<V = OrderedF64>> {
     inner: RankedIter<'s, D>,
     tree: usize,
@@ -126,18 +124,17 @@ impl<D: Dioid<V = OrderedF64>> Iterator for TreeSource<'_, D> {
     }
 }
 
-/// Cycle plan stream: the ranked union over the decomposition trees, each
-/// tree's answers assembled with the head values in the original query's
-/// head order. Witnesses reference bag tuples, not original input tuples,
-/// so none are kept.
-struct CycleStream<'s, D: Dioid<V = OrderedF64>> {
+/// Several trees' stream: the ranked union of their solutions, each
+/// assembled by its own tree's [`TreePlan::assembler`] once the union emits
+/// it.
+struct UnionStream<'s, D: Dioid<V = OrderedF64>> {
     union: UnionEnumerator<OrderedF64, (usize, Vec<NodeId>), TreeSource<'s, D>>,
     /// One per tree, indexed by [`TreeSource::tree`].
     assemblers: Vec<Assembler<'s, D>>,
     ranking: RankingFunction,
 }
 
-impl<D: Dioid<V = OrderedF64>> Iterator for CycleStream<'_, D> {
+impl<D: Dioid<V = OrderedF64>> Iterator for UnionStream<'_, D> {
     type Item = Answer;
     fn next(&mut self) -> Option<Answer> {
         let (key, (tree, states)) = self.union.next()?;
@@ -146,7 +143,7 @@ impl<D: Dioid<V = OrderedF64>> Iterator for CycleStream<'_, D> {
     }
 }
 
-impl<D: Dioid<V = OrderedF64>> AnswerStream for CycleStream<'_, D> {
+impl<D: Dioid<V = OrderedF64>> AnswerStream for UnionStream<'_, D> {
     fn live_mem(&self) -> Option<MemoryStats> {
         let mut total = MemoryStats::default();
         let mut any = false;
@@ -190,36 +187,143 @@ impl<S: AnswerStream + ?Sized> AnswerStream for Box<S> {
     }
 }
 
-/// One tree of a cycle decomposition, compiled and ready to enumerate.
-pub(crate) struct CycleTreePlan<D: Dioid<V = OrderedF64>> {
-    /// The materialised bag relations (owned by the plan).
-    database: Database,
+/// One T-DP tree of a plan, compiled (bottom-up phase already run). An
+/// acyclic query's one tree reads its tuples from the plan's snapshot; a
+/// tree of a cycle decomposition carries its bag.
+pub(crate) struct TreePlan<D: Dioid<V = OrderedF64>> {
     compiled: Compiled<D>,
+    /// `None` for the tree over the snapshot.
+    bag: Option<Bag>,
+}
+
+/// What a cycle-decomposition tree is compiled over.
+struct Bag {
+    /// The materialised bag relations.
+    database: Database,
     /// `head_perm[i]` = position of the i-th *original* head variable within
     /// the tree query's head variables.
     head_perm: Vec<usize>,
 }
 
+impl<D: Dioid<V = OrderedF64>> TreePlan<D> {
+    /// Compile one tree of a cycle decomposition, whose bag weights are
+    /// already encoded.
+    fn over_bag(
+        tree: cycle::DecomposedTree,
+        original_head: &[String],
+    ) -> Result<Self, EngineError> {
+        let compiled = crate::compile::compile_with_opts(
+            &tree.database,
+            &tree.query,
+            &Selection::default(),
+            |t| t.weight(),
+            false,
+        )?;
+        let tree_head = tree.query.head_variables();
+        let head_perm = original_head
+            .iter()
+            .map(|v| {
+                tree_head.iter().position(|x| x == v).ok_or_else(|| {
+                    EngineError::Internal(format!("cycle decomposition lost head variable `{v}`"))
+                })
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(TreePlan {
+            compiled,
+            bag: Some(Bag {
+                database: tree.database,
+                head_perm,
+            }),
+        })
+    }
+
+    /// The tree's answer assembler: head order with witnesses over `db`,
+    /// or, for a bag, the original head order and no witness.
+    fn assembler<'s>(&'s self, db: &'s Database) -> Assembler<'s, D> {
+        match &self.bag {
+            None => Assembler::new(&self.compiled, db),
+            Some(bag) => Assembler::new(&self.compiled, &bag.database).permuted(&bag.head_perm),
+        }
+    }
+}
+
+/// The ranked stream of a plan's trees: one tree's assembled stream as is,
+/// several trees' streams merged by the union. The trees of a cycle
+/// decomposition partition its answers (§5.3.1), so the union needs no
+/// duplicate elimination.
+fn stream<'s, D: Dioid<V = OrderedF64>>(
+    trees: &'s [TreePlan<D>],
+    db: &'s Database,
+    algorithm: AnyKAlgorithm,
+    ranking: RankingFunction,
+) -> Box<dyn AnswerStream + 's> {
+    if let [tree] = trees {
+        return Box::new(AssembleStream {
+            inner: ranked_enumerate(&tree.compiled.instance, algorithm),
+            assembler: tree.assembler(db),
+            ranking,
+        });
+    }
+    let sources = trees
+        .iter()
+        .enumerate()
+        .map(|(tree, plan)| TreeSource {
+            inner: ranked_enumerate(&plan.compiled.instance, algorithm),
+            tree,
+        })
+        .collect();
+    Box::new(UnionStream {
+        union: UnionEnumerator::new(sources),
+        assemblers: trees.iter().map(|t| t.assembler(db)).collect(),
+        ranking,
+    })
+}
+
 /// A fully compiled execution plan, decoupled from how the database and
 /// query are owned: [`RankedQuery`] borrows them, [`crate::PreparedQuery`]
-/// owns them (`Arc`-shared database). The plan itself owns every compiled
-/// T-DP instance (bottom-up phase already run), so enumeration never goes
-/// back to preprocessing.
+/// owns them (`Arc`-shared database). The plan is a list of T-DP trees
+/// (the UT-DP of §5.2) under the dioid its ranking function selects: one
+/// tree over the snapshot for an acyclic query, one per non-empty partition
+/// of a simple cycle's decomposition. It owns every compiled tree, so
+/// enumeration never goes back to preprocessing.
 pub(crate) enum Plan {
-    AcyclicSum(Compiled<TropicalMin>),
-    AcyclicBottleneck(Compiled<MinMaxDioid>),
-    CycleSum(Vec<CycleTreePlan<TropicalMin>>),
-    CycleBottleneck(Vec<CycleTreePlan<MinMaxDioid>>),
+    Sum(Vec<TreePlan<TropicalMin>>),
+    Bottleneck(Vec<TreePlan<MinMaxDioid>>),
+}
+
+impl From<Vec<TreePlan<TropicalMin>>> for Plan {
+    fn from(trees: Vec<TreePlan<TropicalMin>>) -> Self {
+        Plan::Sum(trees)
+    }
+}
+
+impl From<Vec<TreePlan<MinMaxDioid>>> for Plan {
+    fn from(trees: Vec<TreePlan<MinMaxDioid>>) -> Self {
+        Plan::Bottleneck(trees)
+    }
+}
+
+/// `$body` with `$trees` bound to a plan's tree list, whichever its dioid:
+/// the one place a plan's dioid is matched.
+macro_rules! on_trees {
+    ($plan:expr, |$trees:ident| $body:expr) => {
+        match $plan {
+            Plan::Sum($trees) => $body,
+            Plan::Bottleneck($trees) => $body,
+        }
+    };
 }
 
 impl Plan {
     /// Compile `query` over the rows of `db` that `selection` lists, under
-    /// `ranking` (validation, join-tree / cycle-decomposition selection,
-    /// T-DP compilation, bottom-up phase). `retain_delta` keeps the delta
-    /// bookkeeping of [`crate::compile::compile_with_opts`] in acyclic plans
-    /// over every row, enabling [`Plan::refresh`] at the cost of one extra
-    /// CSR copy plus `O(n)` tuple→state maps (cycle plans and selected plans
-    /// ignore the flag — they recompile on ingestion).
+    /// `ranking`: derive the tree list (the query itself, or its cycle
+    /// decomposition), then compile every tree and run its bottom-up phase.
+    /// `retain_delta` keeps the delta bookkeeping of
+    /// [`crate::compile::compile_with_opts`] (one extra CSR copy plus `O(n)`
+    /// tuple→state maps) in a tree over every row of the snapshot; a bag
+    /// tree or a tree over a selection never keeps it. The plan refreshes in
+    /// place only if every tree keeps it, so cycle plans and selected plans
+    /// recompile on ingestion.
     pub(crate) fn prepare(
         db: &Database,
         query: &ConjunctiveQuery,
@@ -230,141 +334,99 @@ impl Plan {
         anyk_core::faults::check("engine.compile")?;
         let _span = anyk_obs::phase::span(anyk_obs::Phase::Compile);
         crate::compile::validate(db, query)?;
-        if query.is_acyclic() {
-            if ranking.is_bottleneck() {
-                let c = crate::compile::compile_with_opts::<MinMaxDioid, _>(
-                    db,
-                    query,
-                    selection,
-                    |t| ranking.encode(t.weight()),
-                    retain_delta,
-                )?;
-                Ok(Plan::AcyclicBottleneck(c))
-            } else {
-                let c = crate::compile::compile_with_opts::<TropicalMin, _>(
-                    db,
-                    query,
-                    selection,
-                    |t| ranking.encode(t.weight()),
-                    retain_delta,
-                )?;
-                Ok(Plan::AcyclicSum(c))
-            }
+        Ok(if ranking.is_bottleneck() {
+            Self::compile::<MinMaxDioid>(db, query, selection, ranking, retain_delta)?.into()
         } else {
-            let combine = ranking.combine_fn();
-            let trees = cycle::decompose(db, query, selection, |w| ranking.encode(w), combine)?;
-            let original_head = query.head_variables();
-            if ranking.is_bottleneck() {
-                Ok(Plan::CycleBottleneck(Self::compile_trees::<MinMaxDioid>(
-                    trees,
-                    &original_head,
-                )?))
-            } else {
-                Ok(Plan::CycleSum(Self::compile_trees::<TropicalMin>(
-                    trees,
-                    &original_head,
-                )?))
-            }
-        }
+            Self::compile::<TropicalMin>(db, query, selection, ranking, retain_delta)?.into()
+        })
     }
 
-    fn compile_trees<D: Dioid<V = OrderedF64>>(
-        trees: Vec<cycle::DecomposedTree>,
-        original_head: &[String],
-    ) -> Result<Vec<CycleTreePlan<D>>, EngineError> {
-        trees
+    fn compile<D: Dioid<V = OrderedF64>>(
+        db: &Database,
+        query: &ConjunctiveQuery,
+        selection: &Selection,
+        ranking: RankingFunction,
+        retain_delta: bool,
+    ) -> Result<Vec<TreePlan<D>>, EngineError> {
+        if query.is_acyclic() {
+            let compiled = crate::compile::compile_with_opts(
+                db,
+                query,
+                selection,
+                |t| ranking.encode(t.weight()),
+                retain_delta,
+            )?;
+            return Ok(vec![TreePlan {
+                compiled,
+                bag: None,
+            }]);
+        }
+        let combine = ranking.combine_fn();
+        let head = query.head_variables();
+        cycle::decompose(db, query, selection, |w| ranking.encode(w), combine)?
             .into_iter()
-            .map(|tree| {
-                // Bag weights are already encoded by the decomposition.
-                let compiled = crate::compile::compile_with::<D, _>(
-                    &tree.database,
-                    &tree.query,
-                    |t: RowRef<'_>| t.weight(),
-                )?;
-                let tree_head = tree.query.head_variables();
-                let head_perm = original_head
-                    .iter()
-                    .map(|v| {
-                        tree_head.iter().position(|x| x == v).ok_or_else(|| {
-                            EngineError::Internal(format!(
-                                "cycle decomposition lost head variable `{v}`"
-                            ))
-                        })
-                    })
-                    .collect::<Result<_, _>>()?;
-                Ok(CycleTreePlan {
-                    database: tree.database,
-                    compiled,
-                    head_perm,
-                })
-            })
+            .map(|tree| TreePlan::over_bag(tree, &head))
             .collect()
     }
 
-    /// Whether the plan uses the cycle decomposition.
+    /// Whether the plan uses the cycle decomposition: its trees are over
+    /// bags, not the snapshot (a decomposition may keep no tree at all).
     pub(crate) fn is_decomposed(&self) -> bool {
-        matches!(self, Plan::CycleSum(_) | Plan::CycleBottleneck(_))
+        on_trees!(self, |trees| trees.iter().all(|t| t.bag.is_some()))
     }
 
-    /// Whether [`Plan::refresh`] can patch this plan in place (acyclic and
-    /// compiled with delta support).
+    /// Whether [`Plan::refresh`] can patch this plan in place: it has trees
+    /// and every one carries delta support.
     pub(crate) fn supports_refresh(&self) -> bool {
-        match self {
-            Plan::AcyclicSum(c) => c.supports_refresh(),
-            Plan::AcyclicBottleneck(c) => c.supports_refresh(),
-            Plan::CycleSum(_) | Plan::CycleBottleneck(_) => false,
-        }
+        on_trees!(self, |trees| !trees.is_empty()
+            && trees.iter().all(|t| t.compiled.supports_refresh()))
     }
 
     /// Delta-maintain the plan: produce a new plan answering the same query
     /// over `new_db`, which must be the plan's snapshot plus `batch` (see
-    /// [`crate::refresh`]). Returns the refreshed plan and the core patch
-    /// statistics (how local the dirty-cone re-sweep was).
+    /// [`crate::refresh`]), by patching every tree.
     pub(crate) fn refresh(
         &self,
         new_db: &Database,
         batch: &DeltaBatch,
         ranking: RankingFunction,
-    ) -> Result<(Self, anyk_core::tdp::PatchStats), EngineError> {
+    ) -> Result<Self, EngineError> {
         anyk_core::faults::check("engine.refresh")?;
         let _span = anyk_obs::phase::span(anyk_obs::Phase::Refresh);
-        match self {
-            Plan::AcyclicSum(c) => {
-                let (c, stats) =
-                    crate::refresh::refresh_compiled(c, new_db, batch, &|w| ranking.encode(w))?;
-                Ok((Plan::AcyclicSum(c), stats))
-            }
-            Plan::AcyclicBottleneck(c) => {
-                let (c, stats) =
-                    crate::refresh::refresh_compiled(c, new_db, batch, &|w| ranking.encode(w))?;
-                Ok((Plan::AcyclicBottleneck(c), stats))
-            }
-            Plan::CycleSum(_) | Plan::CycleBottleneck(_) => Err(EngineError::RefreshUnsupported(
-                "cycle-decomposed plans are rebuilt from their bag databases".into(),
-            )),
+        if !self.supports_refresh() {
+            return Err(EngineError::RefreshUnsupported(
+                "a plan refreshes only if every tree carries delta support; \
+                 cycle and selected plans are rebuilt"
+                    .into(),
+            ));
         }
+        let encode = |w| ranking.encode(w);
+        Ok(on_trees!(self, |trees| trees
+            .iter()
+            .map(|tree| {
+                // Only a tree over the snapshot carries delta support.
+                let compiled =
+                    crate::refresh::refresh_compiled(&tree.compiled, new_db, batch, &encode)?;
+                Ok(TreePlan {
+                    compiled,
+                    bag: None,
+                })
+            })
+            .collect::<Result<Vec<_>, EngineError>>()?
+            .into()))
     }
 
     /// The exact number of answers, without enumerating them.
     pub(crate) fn count_answers(&self) -> u128 {
-        match self {
-            Plan::AcyclicSum(c) => c.instance.count_solutions(),
-            Plan::AcyclicBottleneck(c) => c.instance.count_solutions(),
-            Plan::CycleSum(trees) => trees
-                .iter()
-                .map(|t| t.compiled.instance.count_solutions())
-                .sum(),
-            Plan::CycleBottleneck(trees) => trees
-                .iter()
-                .map(|t| t.compiled.instance.count_solutions())
-                .sum(),
-        }
+        on_trees!(self, |trees| trees
+            .iter()
+            .map(|t| t.compiled.instance.count_solutions())
+            .sum())
     }
 
     /// Enumerate every answer exactly once, in rank order. `db` must be the
-    /// database the plan was prepared over (used only to resolve witness
-    /// tuples into head values for acyclic plans; cycle plans carry their
-    /// own bag databases).
+    /// database the plan was prepared over (a tree over the snapshot reads
+    /// its head values there; bag trees carry their own databases).
     ///
     /// The returned stream is `Send` and retains all enumeration state
     /// (candidate queues, prefix arenas, branch streams, the union heap)
@@ -377,85 +439,23 @@ impl Plan {
         algorithm: AnyKAlgorithm,
         ranking: RankingFunction,
     ) -> Box<dyn AnswerStream + 's> {
-        match self {
-            Plan::AcyclicSum(c) => Self::enumerate_acyclic(db, c, algorithm, ranking),
-            Plan::AcyclicBottleneck(c) => Self::enumerate_acyclic(db, c, algorithm, ranking),
-            Plan::CycleSum(trees) => Self::enumerate_cycle(trees, algorithm, ranking),
-            Plan::CycleBottleneck(trees) => Self::enumerate_cycle(trees, algorithm, ranking),
-        }
+        on_trees!(self, |trees| stream(trees, db, algorithm, ranking))
     }
 
     /// See [`RankedQuery::mem_profile`].
-    pub(crate) fn mem_profile(&self, algorithm: AnyKAlgorithm, k: usize) -> Option<MemoryStats> {
-        let kind = match algorithm {
-            AnyKAlgorithm::Eager => SuccessorKind::Eager,
-            AnyKAlgorithm::Lazy => SuccessorKind::Lazy,
-            AnyKAlgorithm::All => SuccessorKind::All,
-            AnyKAlgorithm::Take2 => SuccessorKind::Take2,
-            AnyKAlgorithm::Recursive | AnyKAlgorithm::Batch => return None,
-        };
-
-        fn profile_one<D: Dioid>(c: &Compiled<D>, kind: SuccessorKind, k: usize) -> MemoryStats {
-            let mut part = AnyKPart::new(&c.instance, kind);
-            while part.emitted() < k && part.next().is_some() {}
-            part.memory_stats()
-        }
-
-        let mut total = MemoryStats::default();
-        match self {
-            Plan::AcyclicSum(c) => total.absorb(&profile_one(c, kind, k)),
-            Plan::AcyclicBottleneck(c) => total.absorb(&profile_one(c, kind, k)),
-            Plan::CycleSum(trees) => {
-                for t in trees {
-                    total.absorb(&profile_one(&t.compiled, kind, k));
-                }
-            }
-            Plan::CycleBottleneck(trees) => {
-                for t in trees {
-                    total.absorb(&profile_one(&t.compiled, kind, k));
-                }
-            }
-        }
-        Some(total)
-    }
-
-    fn enumerate_acyclic<'s, D: Dioid<V = OrderedF64>>(
-        db: &'s Database,
-        compiled: &'s Compiled<D>,
+    pub(crate) fn mem_profile(
+        &self,
+        db: &Database,
         algorithm: AnyKAlgorithm,
         ranking: RankingFunction,
-    ) -> Box<dyn AnswerStream + 's> {
-        Box::new(AssembleStream {
-            inner: ranked_enumerate(&compiled.instance, algorithm),
-            assembler: Assembler::new(compiled, db),
-            ranking,
-        })
-    }
-
-    fn enumerate_cycle<'s, D: Dioid<V = OrderedF64>>(
-        trees: &'s [CycleTreePlan<D>],
-        algorithm: AnyKAlgorithm,
-        ranking: RankingFunction,
-    ) -> Box<dyn AnswerStream + 's> {
-        // One ranked source per decomposition tree; the partitions are
-        // disjoint (§5.3.1), so the union needs no duplicate elimination.
-        let sources: Vec<TreeSource<'s, D>> = trees
-            .iter()
-            .enumerate()
-            .map(|(tree, plan)| TreeSource {
-                inner: ranked_enumerate(&plan.compiled.instance, algorithm),
-                tree,
-            })
-            .collect();
-        let assemblers = trees
-            .iter()
-            .map(|plan| Assembler::new(&plan.compiled, &plan.database).permuted(&plan.head_perm))
-            .collect();
-        Box::new(CycleStream {
-            union: UnionEnumerator::new(sources),
-            assemblers,
-            ranking,
-        })
+        k: usize,
+    ) -> Option<MemoryStats> {
+        if matches!(algorithm, AnyKAlgorithm::Recursive | AnyKAlgorithm::Batch) {
+            return None; // no MEM(k) to report, so no reason to run them
+        }
+        let mut answers = self.enumerate(db, algorithm, ranking);
+        answers.by_ref().take(k).for_each(drop);
+        answers.live_mem()
     }
 }
 
@@ -573,12 +573,14 @@ impl<'a> RankedQuery<'a> {
     /// exhaustion) and report the MEM(k) footprint of its data structures —
     /// candidate queue, shared-prefix arena, and successor-structure table.
     ///
-    /// For a cycle plan the footprint is summed over the decomposition trees,
-    /// each enumerated to `k` on its own — an upper bound on what the union
-    /// enumerator would have touched. Returns `None` for `Recursive` and
-    /// `Batch`, whose memory is not organised in these structures.
+    /// It is the [`AnswerStream::live_mem`] of the plan's own stream after
+    /// `k` answers (for a cycle plan, summed over the trees the union has
+    /// pulled from), so it equals a cursor's
+    /// [`memory_stats`](crate::AnswerCursor::memory_stats) after `k` answers.
+    /// Returns `None` for `Recursive` and `Batch`, whose memory is not
+    /// organised in these structures.
     pub fn mem_profile(&self, algorithm: AnyKAlgorithm, k: usize) -> Option<MemoryStats> {
-        self.plan.mem_profile(algorithm, k)
+        self.plan.mem_profile(self.db, algorithm, self.ranking, k)
     }
 }
 

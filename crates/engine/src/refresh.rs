@@ -29,7 +29,7 @@
 use crate::compile::Compiled;
 use crate::error::EngineError;
 use anyk_core::dioid::{Dioid, OrderedF64};
-use anyk_core::tdp::{apply_patch, NodeId, PatchStats, TdpInstance, TdpPatch};
+use anyk_core::tdp::{apply_patch, NodeId, TdpInstance, TdpPatch};
 use anyk_storage::{Database, DeltaBatch, TidRemap, Value};
 
 /// Refresh `compiled` to answer its query over `new_db`, which **must** be
@@ -41,15 +41,15 @@ use anyk_storage::{Database, DeltaBatch, TidRemap, Value};
 /// (the ranking function's `encode`), and must be the same function the
 /// original compilation used.
 ///
-/// Returns the refreshed plan and the core patch statistics (how local the
-/// dirty cone was). Fails with [`EngineError::RefreshUnsupported`] when the
-/// plan was not compiled with delta support.
+/// Returns the refreshed plan. Fails with
+/// [`EngineError::RefreshUnsupported`] when the plan was not compiled with
+/// delta support.
 pub(crate) fn refresh_compiled<D>(
     compiled: &Compiled<D>,
     new_db: &Database,
     batch: &DeltaBatch,
     encode: &dyn Fn(f64) -> f64,
-) -> Result<(Compiled<D>, PatchStats), EngineError>
+) -> Result<Compiled<D>, EngineError>
 where
     D: Dioid<V = OrderedF64>,
 {
@@ -128,10 +128,10 @@ where
         }
     }
 
-    let stats = apply_patch(&mut next.instance, &patch)
+    apply_patch(&mut next.instance, &patch)
         .map_err(|e| EngineError::Internal(format!("refresh: core patch rejected: {e}")))?;
     next.delta = Some(support);
-    Ok((next, stats))
+    Ok(next)
 }
 
 /// Materialise the state of tuple `tid` of `atom` (unless it already has

@@ -368,19 +368,30 @@ fn a_warm_root_cache_never_leaks_into_the_refreshed_plan() {
 
 #[test]
 fn refresh_without_delta_support_is_a_typed_error() {
+    // A path plan compiled without delta support, and two 4-cycle plans
+    // compiled with it: the cycle's bag trees never carry it, and a cycle
+    // over empty relations decomposes into no tree at all.
     let mut weights = Weights::new(3);
-    let db = path_db(&mut weights, 2, 5, 4);
-    let q = QueryBuilder::path(2).build();
-    let snapshot = Arc::new(db);
-    let plan =
-        PreparedQuery::prepare(Arc::clone(&snapshot), &q, RankingFunction::SumAscending).unwrap();
-    assert!(!plan.supports_refresh());
-    let batch = DeltaBatch::new().insert("R1", Tuple::new(vec![1, 2], 9.0));
-    let next = Arc::new(snapshot.apply_delta(&batch).unwrap());
-    assert!(matches!(
-        plan.refresh(next, &batch),
-        Err(anyk_engine::EngineError::RefreshUnsupported(_))
-    ));
+    let path = Arc::new(path_db(&mut weights, 2, 5, 4));
+    let cycle = Arc::new(path_db(&mut weights, 4, 12, 3));
+    let empty = Arc::new(path_db(&mut weights, 4, 0, 3));
+    let ranking = RankingFunction::SumAscending;
+    let c4 = QueryBuilder::cycle(4).build();
+    let plans = [
+        PreparedQuery::prepare(Arc::clone(&path), &QueryBuilder::path(2).build(), ranking),
+        PreparedQuery::prepare_delta(Arc::clone(&cycle), &c4, ranking),
+        PreparedQuery::prepare_delta(Arc::clone(&empty), &c4, ranking),
+    ];
+    for (plan, snapshot) in plans.into_iter().zip([path, cycle, empty]) {
+        let plan = plan.unwrap();
+        assert!(!plan.supports_refresh());
+        let batch = DeltaBatch::new().insert("R1", Tuple::new(vec![1, 2], 9.0));
+        let next = Arc::new(snapshot.apply_delta(&batch).unwrap());
+        assert!(matches!(
+            plan.refresh(next, &batch),
+            Err(anyk_engine::EngineError::RefreshUnsupported(_))
+        ));
+    }
 }
 
 #[test]

@@ -5,10 +5,11 @@
 
 use anyk::core::AnyKAlgorithm;
 use anyk::datagen::{adversarial, cycles, rng};
-use anyk::engine::{naive_sql, wcoj, RankedQuery, RankingFunction};
+use anyk::engine::{naive_sql, wcoj, PreparedQuery, RankedQuery, RankingFunction};
 use anyk::query::QueryBuilder;
 use anyk::storage::{Database, Relation};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn random_cycle_db(ell: usize, max_tuples: usize) -> impl Strategy<Value = Database> {
     proptest::collection::vec(
@@ -125,5 +126,44 @@ fn bottleneck_ranking_works_through_the_decomposition() {
     assert_eq!(answers.len(), naive.len());
     for (g, e) in answers.iter().zip(naive.iter().map(|a| a.weight())) {
         assert!((g - e).abs() < 1e-9);
+    }
+}
+
+/// MEM(k) has one definition: `mem_profile(alg, k)` is the footprint of the
+/// plan's own stream after `k` answers, so it equals what a cursor reports
+/// after paging `k` answers — for a cycle plan too, where the union pulls
+/// from each tree only as far as the merged stream needs.
+#[test]
+fn mem_profile_is_a_cursor_footprint_after_k_answers() {
+    let shapes = [
+        (QueryBuilder::cycle(4).build(), 4, 64), // 2·32² = 2048 answers
+        (QueryBuilder::cycle(6).build(), 6, 20), // 2·10³ = 2000 answers
+        (QueryBuilder::path(4).build(), 6, 20),  // one tree, over R1..R4
+    ];
+    for (query, ell, n) in shapes {
+        let db = Arc::new(cycles::worst_case_cycle_database(ell, n, &mut rng(17)));
+        for ranking in [
+            RankingFunction::SumAscending,
+            RankingFunction::BottleneckAscending,
+        ] {
+            let plan = Arc::new(PreparedQuery::prepare(Arc::clone(&db), &query, ranking).unwrap());
+            assert_eq!(plan.is_decomposed(), !query.is_acyclic());
+            for algorithm in [
+                AnyKAlgorithm::Eager,
+                AnyKAlgorithm::Lazy,
+                AnyKAlgorithm::All,
+                AnyKAlgorithm::Take2,
+            ] {
+                for k in [1, 100, 1000] {
+                    let mut cursor = plan.cursor(algorithm);
+                    assert_eq!(cursor.next_page(k).answers.len(), k);
+                    assert_eq!(
+                        plan.mem_profile(algorithm, k),
+                        cursor.memory_stats(),
+                        "{query} {ranking:?} {algorithm} k={k}"
+                    );
+                }
+            }
+        }
     }
 }
