@@ -24,13 +24,14 @@
 //!
 //! ## Hot-loop layout
 //!
-//! The expansion loop is allocation- and hash-free: a successor structure is
-//! found through a zero-initialised `u32` index keyed by the instance's
-//! [slot id](TdpInstance::slot_id) (`0` = not built yet, else its position in
-//! a dense pool, plus one), choices inside a structure are addressed by dense
-//! index (see [`successor`]), the sibling scratch buffer is reused across
-//! expansions, and prefixes are shared through an append-only arena. The
-//! only per-result allocation is the output [`Solution`]'s own state vector.
+//! The expansion loop allocates nothing but its output: a successor
+//! structure is found through a small open-addressing map from the
+//! instance's [slot id](TdpInstance::slot_id) to its position in a dense
+//! pool (one multiply and, at a load of at most ¾, about one probe; see
+//! `slot_map`), choices inside a structure are addressed by dense index (see
+//! [`successor`]), the sibling scratch buffer is reused across expansions,
+//! and prefixes are shared through an append-only arena. The only
+//! per-result allocation is the output [`Solution`]'s own state vector.
 //!
 //! ## What an enumerator costs
 //!
@@ -41,8 +42,8 @@
 //! choice set every enumerator touches — the root's, e.g. all of `R1` — is
 //! ordered once per instance and borrowed, never copied, by every kind
 //! (`successor::RootCache`); `Lazy` ranks the shared heap through a private
-//! frontier of `O(drained)` positions. Only the index itself is
-//! `O(slot ids)`, and it is four zero bytes per slot.
+//! frontier of `O(drained)` positions. The index holds at most `4/3` of an
+//! entry per structure built (16 at least), so it too is `O(touched)`.
 //!
 //! At depth the kinds differ in what the candidate queue holds. `Take2`
 //! leaves every prefix's heap frontier there: a pop pushes up to two heap
@@ -59,6 +60,7 @@ pub use successor::SuccessorKind;
 use successor::{Held, SuccState};
 
 use crate::dioid::Dioid;
+use crate::slot_map::SlotMap;
 use crate::solution::Solution;
 use crate::tdp::{NodeId, TdpInstance};
 use std::cmp::Reverse;
@@ -80,9 +82,10 @@ pub struct MemoryStats {
     pub candidates: usize,
     /// Entries in the shared-prefix arena (each is one state reference).
     pub prefix_arena_entries: usize,
-    /// The instance's number of (state, branch) pairs — the key space of the
-    /// successor-structure index, which holds one `u32` per pair whether or
-    /// not the pair's structure was ever built.
+    /// Entries the successor-structure index allocates: the smallest power
+    /// of two at least `4/3 · structures_allocated`, and 16 at least. It
+    /// follows the choice sets the enumeration touched, not the instance's
+    /// number of (state, branch) pairs.
     pub structure_table_slots: usize,
     /// Successor structures materialised so far (lazy initialisation touches
     /// only the choice sets the enumeration actually visited).
@@ -96,8 +99,10 @@ pub struct MemoryStats {
 
 impl MemoryStats {
     /// The snapshot collapsed to one scalar "resident units" figure —
-    /// candidates + arena entries + successor-table slots + materialised
-    /// choices, each of which is one smallish heap value. This is the unit
+    /// candidates + arena entries + allocated index entries + materialised
+    /// choices, each of which is one smallish heap value. Every term follows
+    /// what the enumeration touched, so a session on a large plan that
+    /// pages a short prefix is charged for that prefix. This is the unit
     /// a serving layer's MEM(k)-derived memory budget accounts in: relative
     /// growth is what matters for admission, not exact bytes.
     pub fn resident_units(&self) -> u64 {
@@ -177,10 +182,11 @@ impl<V: Ord> Ord for Candidate<V> {
 pub struct AnyKPart<'a, D: Dioid> {
     inst: &'a TdpInstance<D>,
     kind: SuccessorKind,
-    /// Per slot id: `0` while the choice set is untouched, else the position
-    /// of its structure in `pool`, plus one. Structures are built on first
-    /// access (§7: lazy initialisation keeps TT(k) small for small k).
-    slot_index: Vec<u32>,
+    /// Slot id → position of its structure in `pool`, for the choice sets
+    /// touched so far; an absent slot id is a structure not built yet.
+    /// Structures are built on first access (§7: lazy initialisation keeps
+    /// TT(k) small for small k), and the map grows with them.
+    slot_index: SlotMap,
     /// The structures built so far, in creation order.
     pool: Vec<Held<'a, D>>,
     /// `Σ len()` over `pool`. Every structure's `len()` is fixed at
@@ -203,7 +209,7 @@ impl<'a, D: Dioid> AnyKPart<'a, D> {
         AnyKPart {
             inst,
             kind,
-            slot_index: vec![0; inst.num_slot_ids()],
+            slot_index: SlotMap::new(),
             pool: Vec::new(),
             structure_choices: 0,
             // Each emitted result pushes O(ℓ) new candidates and arena
@@ -238,7 +244,7 @@ impl<'a, D: Dioid> AnyKPart<'a, D> {
             emitted: self.emitted,
             candidates: self.cand.len(),
             prefix_arena_entries: self.arena.len(),
-            structure_table_slots: self.slot_index.len(),
+            structure_table_slots: self.slot_index.capacity(),
             structures_allocated: self.pool.len(),
             structure_choices: self.structure_choices,
         }
@@ -248,20 +254,15 @@ impl<'a, D: Dioid> AnyKPart<'a, D> {
     /// a check that the index and the pool describe the same set.
     #[cfg(test)]
     fn recount(&self) -> MemoryStats {
-        let mut indexed: Vec<u32> = self
-            .slot_index
-            .iter()
-            .copied()
-            .filter(|&p| p != 0)
-            .collect();
+        let mut indexed: Vec<u32> = self.slot_index.iter().map(|(_, p)| p).collect();
         indexed.sort_unstable();
-        let every_pool_entry_once: Vec<u32> = (1..=self.pool.len() as u32).collect();
+        let every_pool_entry_once: Vec<u32> = (0..self.pool.len() as u32).collect();
         assert_eq!(indexed, every_pool_entry_once);
         MemoryStats {
             emitted: self.emitted,
             candidates: self.cand.len(),
             prefix_arena_entries: self.arena.len(),
-            structure_table_slots: self.inst.num_slot_ids(),
+            structure_table_slots: SlotMap::capacity_for(indexed.len()),
             structures_allocated: indexed.len(),
             structure_choices: self.pool.iter().map(Held::len).sum(),
         }
@@ -271,17 +272,17 @@ impl<'a, D: Dioid> AnyKPart<'a, D> {
     /// `(state, slot)`, which is created on first access.
     #[inline]
     fn structure(&mut self, node: NodeId, slot: u32) -> usize {
-        let d = self.inst.slot_id(node, slot) as usize;
-        match self.slot_index[d] {
-            0 => self.build_structure(node, slot, d),
-            p => p as usize - 1,
+        let d = self.inst.slot_id(node, slot);
+        match self.slot_index.get(d) {
+            Some(p) => p as usize,
+            None => self.build_structure(node, slot, d),
         }
     }
 
     /// Build (or, for the root's choice sets, borrow from the instance's
     /// cache) the structure of slot id `d` and enter it in the pool.
     #[cold]
-    fn build_structure(&mut self, node: NodeId, slot: u32, d: usize) -> usize {
+    fn build_structure(&mut self, node: NodeId, slot: u32, d: u32) -> usize {
         let (inst, kind) = (self.inst, self.kind);
         let choices = || inst.choices(node, slot).collect();
         let held = if node == NodeId::ROOT {
@@ -290,9 +291,9 @@ impl<'a, D: Dioid> AnyKPart<'a, D> {
             Held::Own(SuccState::new(kind, choices()))
         };
         self.structure_choices += held.len();
-        self.pool.push(held);
         // At most one structure per slot id, and slot ids fit `u32`.
-        self.slot_index[d] = self.pool.len() as u32;
+        self.slot_index.insert(d, self.pool.len() as u32);
+        self.pool.push(held);
         self.pool.len() - 1
     }
 
@@ -579,7 +580,7 @@ mod tests {
     fn every_kind_borrows_the_root_and_lazy_reads_take2s_heap() {
         let inst = cartesian_3();
         let root = |it: &AnyKPart<'_, TropicalMin>| {
-            it.pool[it.slot_index[inst.slot_id(NodeId::ROOT, 0) as usize] as usize - 1]
+            it.pool[it.slot_index.get(inst.slot_id(NodeId::ROOT, 0)).unwrap() as usize]
                 .borrowed()
                 .expect("root structures are borrowed")
         };

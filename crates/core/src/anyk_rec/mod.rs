@@ -23,6 +23,7 @@
 //! case where the per-branch streams are already produced in sorted order.
 
 use crate::dioid::Dioid;
+use crate::slot_map::SlotMap;
 use crate::solution::Solution;
 use crate::tdp::{NodeId, TdpInstance};
 use std::cmp::Reverse;
@@ -97,21 +98,21 @@ struct MultiStream<V> {
 /// [`Solution`]s in non-decreasing weight order.
 ///
 /// Streams live in dense pools in creation order and are found through
-/// zero-initialised `u32` indexes (`0` = no stream yet, else pool position
-/// plus one), so an enumerator's memory and drop cost follow the streams it
-/// touched, not the size of the instance.
+/// small open-addressing maps from a slot id or node index to a pool
+/// position, which grow with the pools. So an enumerator's memory and drop
+/// cost follow the streams it touched, not the size of the instance.
 #[derive(Debug)]
 pub struct Recursive<'a, D: Dioid> {
     inst: &'a TdpInstance<D>,
-    /// Per slot id: where the branch stream sits in `branch`.
-    branch_index: Vec<u32>,
+    /// Slot id → where the branch stream sits in `branch`.
+    branch_index: SlotMap,
     branch: Vec<BranchStream<D::V>>,
-    /// Per node: where the subtree stream of a state with two or more child
-    /// slots sits in `multi`. States with no child slot have exactly one
-    /// (empty) subtree solution of weight `1̄`, and the subtree stream of a
-    /// state with one child slot *is* its branch stream; neither needs an
+    /// Node index → where the subtree stream of a state with two or more
+    /// child slots sits in `multi`. States with no child slot have exactly
+    /// one (empty) subtree solution of weight `1̄`, and the subtree stream of
+    /// a state with one child slot *is* its branch stream; neither needs an
     /// entry.
-    multi_index: Vec<u32>,
+    multi_index: SlotMap,
     multi: Vec<MultiStream<D::V>>,
     next_rank: usize,
     finished: bool,
@@ -122,9 +123,9 @@ impl<'a, D: Dioid> Recursive<'a, D> {
     pub fn new(inst: &'a TdpInstance<D>) -> Self {
         Recursive {
             inst,
-            branch_index: vec![0; inst.num_slot_ids()],
+            branch_index: SlotMap::new(),
             branch: Vec::new(),
-            multi_index: vec![0; inst.num_nodes()],
+            multi_index: SlotMap::new(),
             multi: Vec::new(),
             next_rank: 0,
             finished: false,
@@ -147,9 +148,9 @@ impl<'a, D: Dioid> Recursive<'a, D> {
     /// Pool position of the stream of branch `(node, slot)`, created on first
     /// access.
     fn branch_stream(&mut self, node: NodeId, slot: u32) -> usize {
-        let d = self.inst.slot_id(node, slot) as usize;
-        if self.branch_index[d] != 0 {
-            return self.branch_index[d] as usize - 1;
+        let d = self.inst.slot_id(node, slot);
+        if let Some(b) = self.branch_index.get(d) {
+            return b as usize;
         }
         // Choices₁(s): one entry per unpruned successor, at rank 0; the value
         // w(t) ⊗ π₁(t) was already computed by the bottom-up phase.
@@ -164,12 +165,12 @@ impl<'a, D: Dioid> Recursive<'a, D> {
                 })
             })
             .collect();
+        self.branch_index.insert(d, self.branch.len() as u32);
         self.branch.push(BranchStream {
             sorted: Vec::new(),
             frontier,
             pending: false,
         });
-        self.branch_index[d] = self.branch.len() as u32;
         self.branch.len() - 1
     }
 
@@ -216,9 +217,11 @@ impl<'a, D: Dioid> Recursive<'a, D> {
     }
 
     fn branch_sol(&self, node: NodeId, slot: u32, rank: usize) -> &BranchSol<D::V> {
-        let b = self.branch_index[self.inst.slot_id(node, slot) as usize];
-        assert!(b != 0, "branch stream initialised");
-        self.branch[b as usize - 1]
+        let b = self
+            .branch_index
+            .get(self.inst.slot_id(node, slot))
+            .expect("branch stream initialised");
+        self.branch[b as usize]
             .sorted
             .get(rank)
             .expect("branch solution materialised")
@@ -229,8 +232,9 @@ impl<'a, D: Dioid> Recursive<'a, D> {
     /// Pool position of the subtree stream of `node`, a state with
     /// `slots ≥ 2` child slots; created on first access.
     fn multi_stream(&mut self, node: NodeId, slots: usize) -> usize {
-        if self.multi_index[node.index()] != 0 {
-            return self.multi_index[node.index()] as usize - 1;
+        let key = node.0;
+        if let Some(m) = self.multi_index.get(key) {
+            return m as usize;
         }
         // Seed the product frontier with the all-zeros rank vector.
         let mut weight = D::one();
@@ -251,12 +255,12 @@ impl<'a, D: Dioid> Recursive<'a, D> {
                 ranks: vec![0; slots],
             }));
         }
+        self.multi_index.insert(key, self.multi.len() as u32);
         self.multi.push(MultiStream {
             sorted: Vec::new(),
             frontier,
             pending: false,
         });
-        self.multi_index[node.index()] = self.multi.len() as u32;
         self.multi.len() - 1
     }
 
@@ -344,8 +348,10 @@ impl<'a, D: Dioid> Recursive<'a, D> {
         let ranks: Vec<u32> = if slots == 1 {
             vec![rank as u32]
         } else {
-            let m = self.multi_index[node.index()] as usize - 1;
-            self.multi[m].sorted[rank].ranks.clone()
+            let m = self.multi_index.get(node.0);
+            self.multi[m.expect("subtree stream initialised") as usize].sorted[rank]
+                .ranks
+                .clone()
         };
         for (slot, &r) in ranks.iter().enumerate() {
             // The branch solution is materialised (subtree_weight above
@@ -392,7 +398,7 @@ impl<D: Dioid> Iterator for Recursive<'_, D> {
 mod tests {
     use super::*;
     use crate::dioid::{OrderedF64, TropicalMin};
-    use crate::tdp::TdpBuilder;
+    use crate::tdp::{StageId, TdpBuilder};
 
     fn cartesian(per_stage: &[&[f64]]) -> TdpInstance<TropicalMin> {
         let mut b = TdpBuilder::<TropicalMin>::serial(per_stage.len());
@@ -518,6 +524,102 @@ mod tests {
         assert_eq!(Recursive::new(&inst).count(), 0);
     }
 
+    /// The two maps index exactly the streams built: every pool position
+    /// once, under a key whose choice set the stream ranks, and in a map no
+    /// larger than a ¾ load of its entries needs (16 at least).
+    fn assert_maps_index_the_streams(rec: &Recursive<'_, TropicalMin>) {
+        let inst = rec.inst;
+        let fits = |map: &SlotMap| {
+            assert_eq!(map.capacity(), SlotMap::capacity_for(map.len()));
+        };
+        let mut slot_of = std::collections::HashMap::new();
+        for n in 0..inst.num_nodes() as u32 {
+            for slot in 0..rec.child_slots(NodeId(n)) as u32 {
+                slot_of.insert(inst.slot_id(NodeId(n), slot), (NodeId(n), slot));
+            }
+        }
+        let mut positions: Vec<u32> = Vec::new();
+        for (d, b) in rec.branch_index.iter() {
+            let (node, slot) = slot_of[&d];
+            let choices: Vec<NodeId> = inst.choices(node, slot).map(|(c, _)| c).collect();
+            let stream = &rec.branch[b as usize];
+            let ranked = stream
+                .sorted
+                .iter()
+                .chain(stream.frontier.iter().map(|r| &r.0));
+            for sol in ranked {
+                assert!(choices.contains(&sol.child), "stream {b} under slot {d}");
+            }
+            positions.push(b);
+        }
+        positions.sort_unstable();
+        assert_eq!(positions, (0..rec.branch.len() as u32).collect::<Vec<_>>());
+        fits(&rec.branch_index);
+
+        let mut positions: Vec<u32> = Vec::new();
+        for (n, m) in rec.multi_index.iter() {
+            let slots = rec.child_slots(NodeId(n));
+            assert!(slots >= 2, "node {n} has {slots} child slots");
+            for sol in &rec.multi[m as usize].sorted {
+                assert_eq!(sol.ranks.len(), slots);
+            }
+            positions.push(m);
+        }
+        positions.sort_unstable();
+        assert_eq!(positions, (0..rec.multi.len() as u32).collect::<Vec<_>>());
+        fits(&rec.multi_index);
+    }
+
+    #[test]
+    fn the_maps_index_exactly_the_streams_built() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        // A centre with two leaf branches and a two-stage branch: multi
+        // streams at the centre, branch streams at every level.
+        for seed in 0..16u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut b = TdpBuilder::<TropicalMin>::new();
+            let center = b.add_stage_under_root("center", true);
+            let left = b.add_stage("left", center, true);
+            let right = b.add_stage("right", center, true);
+            let deep = b.add_stage("deep", right, true);
+            let mut layer = |b: &mut TdpBuilder<TropicalMin>, stage: StageId, n: usize| {
+                (0..n)
+                    .map(|_| b.add_state(stage.index(), (rng.gen_range(0..20) as f64).into()))
+                    .collect::<Vec<_>>()
+            };
+            let cs = layer(&mut b, center, 6);
+            let ls = layer(&mut b, left, 5);
+            let rs = layer(&mut b, right, 5);
+            let ds = layer(&mut b, deep, 4);
+            for (i, &c) in cs.iter().enumerate() {
+                b.connect_root(c);
+                for (j, &l) in ls.iter().enumerate() {
+                    if (i + j) % 3 != 0 {
+                        b.connect(c, l);
+                    }
+                }
+                for (j, &r) in rs.iter().enumerate() {
+                    if (i * j) % 4 != 1 {
+                        b.connect(c, r);
+                    }
+                }
+            }
+            for (i, &r) in rs.iter().enumerate() {
+                for &d in &ds[i % 2..] {
+                    b.connect(r, d);
+                }
+            }
+            let inst = b.build();
+            let mut rec = Recursive::new(&inst);
+            assert_maps_index_the_streams(&rec);
+            while rec.by_ref().take(7).count() == 7 {
+                assert_maps_index_the_streams(&rec);
+            }
+            assert_maps_index_the_streams(&rec);
+            assert_eq!(rec.next_rank as u128, inst.count_solutions());
+        }
+    }
+
     #[test]
     fn suffix_sharing_across_parents() {
         // Two stage-1 states lead to the same stage-2 state: after full
@@ -540,7 +642,7 @@ mod tests {
         let all: Vec<_> = rec.by_ref().collect();
         assert_eq!(all.len(), 4);
         // Branch stream of `shared` holds its two suffixes exactly once.
-        let b = rec.branch_index[inst.slot_id(shared, 0) as usize] as usize - 1;
-        assert_eq!(rec.branch[b].sorted.len(), 2);
+        let b = rec.branch_index.get(inst.slot_id(shared, 0)).unwrap();
+        assert_eq!(rec.branch[b as usize].sorted.len(), 2);
     }
 }

@@ -61,6 +61,7 @@ pub mod batch;
 pub mod dioid;
 pub mod faults;
 pub mod metrics;
+mod slot_map;
 pub mod solution;
 pub mod tdp;
 pub mod union;

@@ -688,6 +688,32 @@ mod tests {
     }
 
     #[test]
+    fn a_filtered_plan_is_sized_by_its_selection() {
+        // `x3 = 47` keeps about ten of R2's and R3's 2 000 rows. The plan is
+        // rooted at one of those atoms, not at the unselected R4, so its
+        // (state, branch) pairs count states of the selected answers' rows,
+        // not every row of R4 and its value nodes.
+        use anyk_datagen::{rng, uniform::path_or_star_database};
+        let db = path_or_star_database(4, 2000, &mut rng(3));
+        let body = "Q(x1, x2, x3, x4, x5) :- R1(x1, x2), R2(x2, x3), R3(x3, x4), R4(x4, x5)";
+        let slot_ids = |text: &str| {
+            let spec = anyk_query::QuerySpec::parse(text).unwrap();
+            let q = spec.to_query().unwrap();
+            let selection = crate::select::select(&db, &q, &spec.predicates).unwrap();
+            let c = compile_with_opts::<TropicalMin, _>(&db, &q, &selection, |t| t.weight(), false)
+                .unwrap();
+            c.instance.num_slot_ids()
+        };
+        let filtered = slot_ids(&format!("{body}, x3 = 47"));
+        assert!(
+            filtered <= 200,
+            "{filtered} (state, branch) pairs for a plan over ~20 selected rows"
+        );
+        let unfiltered = slot_ids(body);
+        assert!(unfiltered > 2000, "the unfiltered plan has {unfiltered}");
+    }
+
+    #[test]
     fn self_join_uses_same_relation_twice() {
         let mut db = Database::new();
         let mut e = Relation::new("E", 2);

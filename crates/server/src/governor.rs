@@ -12,8 +12,9 @@
 //!
 //! Memory accounting is in the paper's currency: **MEM(k) units**, the
 //! number of live entries in the enumeration data structures (candidate
-//! queues + shared-prefix arenas + successor-structure tables, summed over
-//! decomposition trees — see [`anyk_core::MemoryStats::resident_units`]).
+//! queues + shared-prefix arenas + successor-structure indexes + the
+//! structures' choices, summed over decomposition trees — see
+//! [`anyk_core::MemoryStats::resident_units`]).
 //! Each session is charged its cursor's current footprint and re-charged
 //! the delta after every page; algorithms whose memory is not organised in
 //! those structures (`Recursive`, `Batch`) are charged a flat configured

@@ -181,9 +181,11 @@
 //!   instead of queueing. A good default is your worker-thread count.
 //! * `memory_budget_units` is denominated in MEM(k) units
 //!   ([`anyk_core::MemoryStats::resident_units`]: entries in the candidate
-//!   queue and the prefix arena, the plan's (state, branch) pairs — the key
-//!   space of the cursor's successor-structure index — and the choices held
-//!   by the structures built so far). Sessions are re-charged their actual
+//!   queue and the prefix arena, the entries the cursor's successor-structure
+//!   index allocated — at most `4/3` per structure built, 16 at least — and
+//!   the choices held by those structures). A session that pages a short
+//!   prefix of a large plan is charged for that prefix, not for the plan's
+//!   size. Sessions are re-charged their actual
 //!   footprint after every page, so the budget tracks reality, not a static
 //!   estimate; the cursor keeps these figures as counters, so the re-charge
 //!   reads five numbers however large the plan is. The count is logical: a

@@ -346,23 +346,17 @@ fn service_sessions_with_predicates_match_the_oracle() {
 
 #[test]
 fn a_filtered_plan_is_sized_by_its_selection() {
-    // `x3 = 47` keeps about ten of R2's and R3's 2 000 rows. The plan is
-    // rooted at one of those atoms, not at the unselected R4, so a
-    // session's successor table counts states of the selected answers'
-    // rows, not every row of R4 and its value nodes.
+    // `x3 = 47` keeps about ten of R2's and R3's 2 000 rows, and the plan
+    // is rooted at one of those atoms. A session's index counts only the
+    // choice sets it touched, so the plan's own size is asserted where the
+    // compiled instance is visible: the `anyk-engine` unit test of this
+    // name, over `num_slot_ids()`. Here the plan agrees with the oracle.
     use anyk::datagen::{rng, uniform::path_or_star_database};
-    let db = std::sync::Arc::new(path_or_star_database(4, 2000, &mut rng(3)));
+    let db = path_or_star_database(4, 2000, &mut rng(3));
     let spec = QuerySpec::parse(
         "Q(x1, x2, x3, x4, x5) :- R1(x1, x2), R2(x2, x3), R3(x3, x4), R4(x4, x5), x3 = 47",
     )
     .unwrap();
-    let plan = anyk::engine::PreparedQuery::from_spec(std::sync::Arc::clone(&db), &spec).unwrap();
-    let mem = plan.mem_profile(AnyKAlgorithm::Lazy, 1).unwrap();
-    assert!(
-        mem.structure_table_slots <= 200,
-        "{} successor-table slots for a plan over ~20 selected rows",
-        mem.structure_table_slots
-    );
     assert_spec_matches_oracle(&db, &spec);
 }
 
