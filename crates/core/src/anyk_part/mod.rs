@@ -25,10 +25,9 @@
 //! ## Hot-loop layout
 //!
 //! The expansion loop allocates nothing but its output: a successor
-//! structure is found through a small open-addressing map from the
-//! instance's [slot id](TdpInstance::slot_id) to its position in a dense
-//! pool (one multiply and, at a load of at most ¾, about one probe; see
-//! `slot_map`), choices inside a structure are addressed by dense index (see
+//! structure is found through a small hash map from the instance's [slot
+//! id](TdpInstance::slot_id) to its position in a dense pool (one multiply
+//! and about one probe; see `slot_map`), choices inside a structure are addressed by dense index (see
 //! [`successor`]), the sibling scratch buffer is reused across expansions,
 //! and prefixes are shared through an append-only arena. The only
 //! per-result allocation is the output [`Solution`]'s own state vector.
@@ -42,8 +41,8 @@
 //! choice set every enumerator touches — the root's, e.g. all of `R1` — is
 //! ordered once per instance and borrowed, never copied, by every kind
 //! (`successor::RootCache`); `Lazy` ranks the shared heap through a private
-//! frontier of `O(drained)` positions. The index holds at most `4/3` of an
-//! entry per structure built (16 at least), so it too is `O(touched)`.
+//! frontier of `O(drained)` positions. The index holds at most about two
+//! entries per structure built, so it too is `O(touched)`.
 //!
 //! At depth the kinds differ in what the candidate queue holds. `Take2`
 //! leaves every prefix's heap frontier there: a pop pushes up to two heap
@@ -60,7 +59,7 @@ pub use successor::SuccessorKind;
 use successor::{Held, SuccState};
 
 use crate::dioid::Dioid;
-use crate::slot_map::SlotMap;
+use crate::slot_map::{self, SlotMap};
 use crate::solution::Solution;
 use crate::tdp::{NodeId, TdpInstance};
 use std::cmp::Reverse;
@@ -82,10 +81,13 @@ pub struct MemoryStats {
     pub candidates: usize,
     /// Entries in the shared-prefix arena (each is one state reference).
     pub prefix_arena_entries: usize,
-    /// Entries the successor-structure index allocates: the smallest power
-    /// of two at least `4/3 · structures_allocated`, and 16 at least. It
-    /// follows the choice sets the enumeration touched, not the instance's
-    /// number of (state, branch) pairs.
+    /// Entries the successor-structure index holds before it grows (its
+    /// `capacity()`): between `structures_allocated` and about twice it, as
+    /// the map doubles when full. It follows the choice sets the
+    /// enumeration touched, not the instance's number of (state, branch)
+    /// pairs. An entry is a `(u32, u32)` pair, twice the bytes of a slot of
+    /// a dense `u32` table, and the map allocates `8/7` as many buckets as
+    /// entries, with one control byte each.
     pub structure_table_slots: usize,
     /// Successor structures materialised so far (lazy initialisation touches
     /// only the choice sets the enumeration actually visited).
@@ -209,7 +211,7 @@ impl<'a, D: Dioid> AnyKPart<'a, D> {
         AnyKPart {
             inst,
             kind,
-            slot_index: SlotMap::new(),
+            slot_index: slot_map::new(),
             pool: Vec::new(),
             structure_choices: 0,
             // Each emitted result pushes O(ℓ) new candidates and arena
@@ -254,7 +256,7 @@ impl<'a, D: Dioid> AnyKPart<'a, D> {
     /// a check that the index and the pool describe the same set.
     #[cfg(test)]
     fn recount(&self) -> MemoryStats {
-        let mut indexed: Vec<u32> = self.slot_index.iter().map(|(_, p)| p).collect();
+        let mut indexed: Vec<u32> = self.slot_index.values().copied().collect();
         indexed.sort_unstable();
         let every_pool_entry_once: Vec<u32> = (0..self.pool.len() as u32).collect();
         assert_eq!(indexed, every_pool_entry_once);
@@ -262,7 +264,7 @@ impl<'a, D: Dioid> AnyKPart<'a, D> {
             emitted: self.emitted,
             candidates: self.cand.len(),
             prefix_arena_entries: self.arena.len(),
-            structure_table_slots: SlotMap::capacity_for(indexed.len()),
+            structure_table_slots: self.slot_index.capacity(),
             structures_allocated: indexed.len(),
             structure_choices: self.pool.iter().map(Held::len).sum(),
         }
@@ -273,8 +275,8 @@ impl<'a, D: Dioid> AnyKPart<'a, D> {
     #[inline]
     fn structure(&mut self, node: NodeId, slot: u32) -> usize {
         let d = self.inst.slot_id(node, slot);
-        match self.slot_index.get(d) {
-            Some(p) => p as usize,
+        match self.slot_index.get(&d) {
+            Some(&p) => p as usize,
             None => self.build_structure(node, slot, d),
         }
     }
@@ -580,7 +582,7 @@ mod tests {
     fn every_kind_borrows_the_root_and_lazy_reads_take2s_heap() {
         let inst = cartesian_3();
         let root = |it: &AnyKPart<'_, TropicalMin>| {
-            it.pool[it.slot_index.get(inst.slot_id(NodeId::ROOT, 0)).unwrap() as usize]
+            it.pool[it.slot_index[&inst.slot_id(NodeId::ROOT, 0)] as usize]
                 .borrowed()
                 .expect("root structures are borrowed")
         };

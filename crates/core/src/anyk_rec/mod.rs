@@ -23,7 +23,7 @@
 //! case where the per-branch streams are already produced in sorted order.
 
 use crate::dioid::Dioid;
-use crate::slot_map::SlotMap;
+use crate::slot_map::{self, SlotMap};
 use crate::solution::Solution;
 use crate::tdp::{NodeId, TdpInstance};
 use std::cmp::Reverse;
@@ -98,7 +98,7 @@ struct MultiStream<V> {
 /// [`Solution`]s in non-decreasing weight order.
 ///
 /// Streams live in dense pools in creation order and are found through
-/// small open-addressing maps from a slot id or node index to a pool
+/// small hash maps from a slot id or node index to a pool
 /// position, which grow with the pools. So an enumerator's memory and drop
 /// cost follow the streams it touched, not the size of the instance.
 #[derive(Debug)]
@@ -123,9 +123,9 @@ impl<'a, D: Dioid> Recursive<'a, D> {
     pub fn new(inst: &'a TdpInstance<D>) -> Self {
         Recursive {
             inst,
-            branch_index: SlotMap::new(),
+            branch_index: slot_map::new(),
             branch: Vec::new(),
-            multi_index: SlotMap::new(),
+            multi_index: slot_map::new(),
             multi: Vec::new(),
             next_rank: 0,
             finished: false,
@@ -149,7 +149,7 @@ impl<'a, D: Dioid> Recursive<'a, D> {
     /// access.
     fn branch_stream(&mut self, node: NodeId, slot: u32) -> usize {
         let d = self.inst.slot_id(node, slot);
-        if let Some(b) = self.branch_index.get(d) {
+        if let Some(&b) = self.branch_index.get(&d) {
             return b as usize;
         }
         // Choices₁(s): one entry per unpruned successor, at rank 0; the value
@@ -217,10 +217,7 @@ impl<'a, D: Dioid> Recursive<'a, D> {
     }
 
     fn branch_sol(&self, node: NodeId, slot: u32, rank: usize) -> &BranchSol<D::V> {
-        let b = self
-            .branch_index
-            .get(self.inst.slot_id(node, slot))
-            .expect("branch stream initialised");
+        let b = self.branch_index[&self.inst.slot_id(node, slot)];
         self.branch[b as usize]
             .sorted
             .get(rank)
@@ -233,7 +230,7 @@ impl<'a, D: Dioid> Recursive<'a, D> {
     /// `slots ≥ 2` child slots; created on first access.
     fn multi_stream(&mut self, node: NodeId, slots: usize) -> usize {
         let key = node.0;
-        if let Some(m) = self.multi_index.get(key) {
+        if let Some(&m) = self.multi_index.get(&key) {
             return m as usize;
         }
         // Seed the product frontier with the all-zeros rank vector.
@@ -348,8 +345,8 @@ impl<'a, D: Dioid> Recursive<'a, D> {
         let ranks: Vec<u32> = if slots == 1 {
             vec![rank as u32]
         } else {
-            let m = self.multi_index.get(node.0);
-            self.multi[m.expect("subtree stream initialised") as usize].sorted[rank]
+            let m = self.multi_index.get(&node.0);
+            self.multi[*m.expect("subtree stream initialised") as usize].sorted[rank]
                 .ranks
                 .clone()
         };
@@ -530,7 +527,8 @@ mod tests {
     fn assert_maps_index_the_streams(rec: &Recursive<'_, TropicalMin>) {
         let inst = rec.inst;
         let fits = |map: &SlotMap| {
-            assert_eq!(map.capacity(), SlotMap::capacity_for(map.len()));
+            let needed = (4 * map.len()).div_ceil(3).next_power_of_two().max(16);
+            assert!(map.len() <= map.capacity() && map.capacity() <= needed);
         };
         let mut slot_of = std::collections::HashMap::new();
         for n in 0..inst.num_nodes() as u32 {
@@ -539,7 +537,7 @@ mod tests {
             }
         }
         let mut positions: Vec<u32> = Vec::new();
-        for (d, b) in rec.branch_index.iter() {
+        for (&d, &b) in &rec.branch_index {
             let (node, slot) = slot_of[&d];
             let choices: Vec<NodeId> = inst.choices(node, slot).map(|(c, _)| c).collect();
             let stream = &rec.branch[b as usize];
@@ -557,7 +555,7 @@ mod tests {
         fits(&rec.branch_index);
 
         let mut positions: Vec<u32> = Vec::new();
-        for (n, m) in rec.multi_index.iter() {
+        for (&n, &m) in &rec.multi_index {
             let slots = rec.child_slots(NodeId(n));
             assert!(slots >= 2, "node {n} has {slots} child slots");
             for sol in &rec.multi[m as usize].sorted {
@@ -642,7 +640,7 @@ mod tests {
         let all: Vec<_> = rec.by_ref().collect();
         assert_eq!(all.len(), 4);
         // Branch stream of `shared` holds its two suffixes exactly once.
-        let b = rec.branch_index.get(inst.slot_id(shared, 0)).unwrap();
+        let b = rec.branch_index[&inst.slot_id(shared, 0)];
         assert_eq!(rec.branch[b as usize].sorted.len(), 2);
     }
 }

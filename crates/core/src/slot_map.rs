@@ -4,176 +4,44 @@
 //!
 //! An enumerator touches a few thousand of an instance's hundreds of
 //! thousands of choice sets, and the touched keys are scattered across the
-//! key space, so the index is an open-addressing hash map, not a table over
-//! the key space: `(key, value)` pairs in one `Vec` of power-of-two
-//! capacity, a multiplicative (Fibonacci) hash, linear probing, and a load
-//! of at most ¾, doubling when an insert would exceed it. Its size follows
-//! the structures built, and a lookup allocates nothing.
+//! key space, so the index is a hash map, not a table over the key space:
+//! std's `HashMap` keyed by the `u32` key, with a one-multiply hasher. Its
+//! size follows the structures built, and a lookup allocates nothing.
 
-/// The key of a vacant entry. Slot ids and node indices are below
-/// `num_slot_ids()`/`num_nodes()`, which fit `u32`, so no real key is
-/// `u32::MAX`.
-const VACANT: u32 = u32::MAX;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
-/// Capacity of a new map: the first few structures need no rehash.
-const MIN_CAPACITY: usize = 16;
+/// A map from `u32` keys to `u32` pool positions; enumerators only insert.
+pub(crate) type SlotMap = HashMap<u32, u32, BuildHasherDefault<SlotHasher>>;
 
-/// An insert-only map from `u32` keys to `u32` pool positions.
-#[derive(Debug, Clone)]
-pub(crate) struct SlotMap {
-    /// `(key, value)` pairs; `key == VACANT` marks a free entry. The length
-    /// is a power of two.
-    entries: Vec<(u32, u32)>,
-    /// Occupied entries.
-    len: usize,
-    /// `32 − log₂(entries.len())`: the hash keeps the product's top bits.
-    shift: u32,
+/// An empty map with room for the first few structures: an enumerator
+/// builds one per level of the instance on its first answer, and these need
+/// no rehash.
+pub(crate) fn new() -> SlotMap {
+    SlotMap::with_capacity_and_hasher(8, BuildHasherDefault::default())
 }
 
-impl SlotMap {
-    pub(crate) fn new() -> Self {
-        SlotMap {
-            entries: vec![(VACANT, 0); MIN_CAPACITY],
-            len: 0,
-            shift: 32 - MIN_CAPACITY.trailing_zeros(),
+/// Fibonacci hashing of one `u32` key: a multiply by 2⁶⁴/φ, with the
+/// product's high half folded into its low half, since the map picks a
+/// bucket from the low bits and a tag from the top seven.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct SlotHasher(u64);
+
+impl Hasher for SlotHasher {
+    #[inline]
+    fn write_u32(&mut self, key: u32) {
+        let h = (u64::from(key) ^ self.0).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(u32::from(b));
         }
-    }
-
-    /// Entries the map allocates, occupied or not: its honest size.
-    pub(crate) fn capacity(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Number of keys present.
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.len
-    }
-
-    /// The capacity a map holding `len` keys has: the smallest power of
-    /// two at a load of at most ¾, and `MIN_CAPACITY` at least.
-    #[cfg(test)]
-    pub(crate) fn capacity_for(len: usize) -> usize {
-        (4 * len).div_ceil(3).next_power_of_two().max(MIN_CAPACITY)
     }
 
     #[inline]
-    fn home(&self, key: u32) -> usize {
-        (key.wrapping_mul(0x9E37_79B9) >> self.shift) as usize
-    }
-
-    /// The value stored under `key`, if any.
-    #[inline]
-    pub(crate) fn get(&self, key: u32) -> Option<u32> {
-        let mask = self.entries.len() - 1;
-        let mut i = self.home(key);
-        loop {
-            let (k, v) = self.entries[i];
-            if k == key {
-                return Some(v);
-            }
-            if k == VACANT {
-                return None;
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    /// Store `value` under `key`, which must not be present yet.
-    pub(crate) fn insert(&mut self, key: u32, value: u32) {
-        debug_assert!(key != VACANT, "u32::MAX is the vacant marker");
-        debug_assert!(self.get(key).is_none(), "key {key} inserted twice");
-        if 4 * (self.len + 1) > 3 * self.entries.len() {
-            self.grow();
-        }
-        self.place(key, value);
-        self.len += 1;
-    }
-
-    /// Put `(key, value)` in the first vacant entry of `key`'s probe
-    /// sequence.
-    fn place(&mut self, key: u32, value: u32) {
-        let mask = self.entries.len() - 1;
-        let mut i = self.home(key);
-        while self.entries[i].0 != VACANT {
-            i = (i + 1) & mask;
-        }
-        self.entries[i] = (key, value);
-    }
-
-    /// Double the capacity and re-place every entry.
-    #[cold]
-    fn grow(&mut self) {
-        let doubled = vec![(VACANT, 0); 2 * self.entries.len()];
-        let old = std::mem::replace(&mut self.entries, doubled);
-        self.shift -= 1;
-        for (key, value) in old {
-            if key != VACANT {
-                self.place(key, value);
-            }
-        }
-    }
-
-    /// The `(key, value)` pairs present, in no particular order.
-    #[cfg(test)]
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.entries.iter().copied().filter(|&(k, _)| k != VACANT)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use proptest::prelude::*;
-    use std::collections::HashMap;
-
-    proptest! {
-        /// The map answers like a `HashMap` after every insert, for clustered
-        /// and scattered keys alike, and never exceeds a ¾ load.
-        #[test]
-        fn agrees_with_a_hash_map(
-            keys in proptest::collection::vec(0u32..5_000, 0..400),
-            stride in 1u32..70_000,
-        ) {
-            let mut map = SlotMap::new();
-            let mut oracle = HashMap::new();
-            for (i, k) in keys.into_iter().enumerate() {
-                let key = k.wrapping_mul(stride) % (u32::MAX - 1);
-                if oracle.contains_key(&key) {
-                    continue;
-                }
-                map.insert(key, i as u32);
-                oracle.insert(key, i as u32);
-                prop_assert_eq!(map.get(key), Some(i as u32));
-                prop_assert!(4 * map.len() <= 3 * map.capacity());
-            }
-            prop_assert_eq!(map.len(), oracle.len());
-            for (&k, &v) in &oracle {
-                prop_assert_eq!(map.get(k), Some(v));
-            }
-            let mut listed: Vec<_> = map.iter().collect();
-            let mut expected: Vec<_> = oracle.into_iter().collect();
-            listed.sort_unstable();
-            expected.sort_unstable();
-            prop_assert_eq!(listed, expected);
-        }
-    }
-
-    #[test]
-    fn capacity_is_the_smallest_power_of_two_at_three_quarters_load() {
-        let mut map = SlotMap::new();
-        assert_eq!(map.capacity(), MIN_CAPACITY);
-        assert_eq!(map.get(7), None);
-        for n in 1..=3_000u32 {
-            map.insert(n * 3, n);
-            let want = (4 * n as usize)
-                .div_ceil(3)
-                .next_power_of_two()
-                .max(MIN_CAPACITY);
-            assert_eq!(map.capacity(), want, "after {n} inserts");
-            assert_eq!(SlotMap::capacity_for(n as usize), want);
-        }
-        assert_eq!(map.get(0), None);
-        assert_eq!(map.get(3 * 2_999), Some(2_999));
+    fn finish(&self) -> u64 {
+        self.0
     }
 }

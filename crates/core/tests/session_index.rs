@@ -1,8 +1,8 @@
 //! A cursor's successor-structure index costs what the cursor touched. Over
 //! path instances whose key space grows 64×, the index an enumerator
-//! allocates after k answers stays the size that the structures it built
-//! need (the smallest power of two at a ¾ load, 16 at least), for every
-//! anyK-part kind.
+//! allocates after k answers stays within the size that the structures it
+//! built need (the smallest power of two at a ¾ load, 16 at least), for
+//! every anyK-part kind.
 
 use anyk_core::dioid::TropicalMin;
 use anyk_core::tdp::{NodeId, TdpBuilder, TdpInstance};
@@ -41,7 +41,8 @@ fn path(n: usize, seed: u64) -> TdpInstance<TropicalMin> {
     b.build()
 }
 
-/// The index size a ¾ load of `structures` entries needs.
+/// The index size a ¾ load of `structures` entries needs: the bound the
+/// index must stay within.
 fn needed(structures: usize) -> usize {
     (4 * structures).div_ceil(3).next_power_of_two().max(16)
 }

@@ -16,9 +16,12 @@
 //! structures' choices, summed over decomposition trees — see
 //! [`anyk_core::MemoryStats::resident_units`]).
 //! Each session is charged its cursor's current footprint and re-charged
-//! the delta after every page; algorithms whose memory is not organised in
-//! those structures (`Recursive`, `Batch`) are charged a flat configured
-//! rate ([`GovernorConfig::untracked_session_units`]).
+//! the delta after every page. The budget is checked where the total grows:
+//! at open, against the new cursor's charge, and before every page pull,
+//! which is shed while the total is at or over budget. Algorithms whose
+//! memory is not organised in those structures (`Recursive`, `Batch`) are
+//! charged a flat configured rate
+//! ([`GovernorConfig::untracked_session_units`]).
 
 use crate::error::{OverloadReason, ServiceError};
 use std::sync::Mutex;
@@ -40,7 +43,10 @@ pub struct GovernorConfig {
     pub max_pages_in_flight: Option<usize>,
     /// Global budget, in MEM(k) units, for the enumeration structures of
     /// all live sessions combined. A session whose admission would push the
-    /// resident total over budget is shed.
+    /// resident total over budget is shed, and so is a page pull while the
+    /// resident total is at or over budget: sessions grow as they page, so
+    /// the total can pass the budget only by what the pages already in
+    /// flight add.
     pub memory_budget_units: Option<u64>,
     /// Flat per-session charge (in units) for cursors that cannot report
     /// MEM(k) — `Recursive` and `Batch` streams.
@@ -206,21 +212,28 @@ impl Governor {
         }
     }
 
-    /// Acquire a permit for one in-flight page pull, or shed.
+    /// Acquire a permit for one in-flight page pull, or shed: at the
+    /// in-flight cap, or while the resident total is at or over the memory
+    /// budget (a page grows its session's structures, and admission alone
+    /// charged the session only what its cursor held at open).
     pub fn acquire_page(&self) -> Result<PagePermit<'_>, ServiceError> {
-        let admitted = self.with(|s| {
+        let reason = self.with(|s| {
             if let Some(cap) = self.config.max_pages_in_flight {
                 if s.pages_in_flight >= cap {
-                    return false;
+                    return Some(OverloadReason::PagesInFlight);
+                }
+            }
+            if let Some(budget) = self.config.memory_budget_units {
+                if s.mem_resident_units >= budget {
+                    return Some(OverloadReason::Memory);
                 }
             }
             s.pages_in_flight += 1;
-            true
+            None
         });
-        if admitted {
-            Ok(PagePermit { gov: self })
-        } else {
-            Err(self.shed(OverloadReason::PagesInFlight))
+        match reason {
+            Some(r) => Err(self.shed(r)),
+            None => Ok(PagePermit { gov: self }),
         }
     }
 
@@ -355,6 +368,29 @@ mod tests {
         drop(permit);
         drop(g.acquire_page().unwrap());
         assert_eq!(g.snapshot().pages_in_flight, 0);
+        assert_eq!(g.snapshot().sessions_shed, 1);
+    }
+
+    #[test]
+    fn pages_shed_while_resident_memory_is_at_budget() {
+        let g = Governor::new(GovernorConfig {
+            memory_budget_units: Some(100),
+            ..GovernorConfig::default()
+        });
+        g.commit_session(10).unwrap();
+        let permit = g.acquire_page().unwrap();
+        g.recharge(10, 100);
+        drop(permit);
+        assert!(matches!(
+            g.acquire_page().unwrap_err(),
+            ServiceError::Overloaded {
+                reason: OverloadReason::Memory,
+                ..
+            }
+        ));
+        assert_eq!(g.snapshot().pages_in_flight, 0);
+        g.recharge(100, 99);
+        drop(g.acquire_page().unwrap());
         assert_eq!(g.snapshot().sessions_shed, 1);
     }
 }

@@ -182,13 +182,16 @@
 //! * `memory_budget_units` is denominated in MEM(k) units
 //!   ([`anyk_core::MemoryStats::resident_units`]: entries in the candidate
 //!   queue and the prefix arena, the entries the cursor's successor-structure
-//!   index allocated — at most `4/3` per structure built, 16 at least — and
-//!   the choices held by those structures). A session that pages a short
+//!   index holds — at most about two per structure built — and the choices
+//!   held by those structures). A session that pages a short
 //!   prefix of a large plan is charged for that prefix, not for the plan's
-//!   size. Sessions are re-charged their actual
-//!   footprint after every page, so the budget tracks reality, not a static
-//!   estimate; the cursor keeps these figures as counters, so the re-charge
-//!   reads five numbers however large the plan is. The count is logical: a
+//!   size. Sessions are re-charged their actual footprint after every
+//!   page, so the budget tracks reality, not a static estimate; the cursor
+//!   keeps these figures as counters, so the re-charge reads five numbers
+//!   however large the plan is. The budget is enforced at open and before
+//!   every page pull: while the resident total is at or over budget, pulls
+//!   shed with `OverloadReason::Memory` until sessions close or expire, so
+//!   the total passes the budget by at most what the pages in flight add. The count is logical: a
 //!   root structure the plan built once and lends to every cursor is charged
 //!   to each of them, so a session costs the same units whether it is the
 //!   first on its plan or the thousandth. `Recursive`/`Batch` cursors, which

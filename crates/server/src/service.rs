@@ -1072,7 +1072,9 @@ impl QueryService {
     ///
     /// This is the governed hot path:
     /// * sheds with [`ServiceError::Overloaded`] when the in-flight page
-    ///   cap is reached (the permit is RAII, so it cannot leak);
+    ///   cap is reached or the resident MEM(k) total is at or over the
+    ///   memory budget (the permit is RAII, so it cannot leak); a shed pull
+    ///   leaves the session as it was;
     /// * enforces the session's TTL/idle deadline before doing work;
     /// * observes cooperative cancellation between answers — a cancelled
     ///   pull returns its partial page with `done = true`, and later calls
@@ -1181,9 +1183,10 @@ impl QueryService {
         finished
     }
 
-    /// A page pull was shed by the in-flight cap: leave a breadcrumb in the
-    /// session's ring (best effort — skipped if the slot is busy, since a
-    /// shed must never queue behind the very pull that crowded it out).
+    /// A page pull was shed by the in-flight cap or the memory budget: leave
+    /// a breadcrumb in the session's ring (best effort — skipped if the slot
+    /// is busy, since a shed must never queue behind the very pull that
+    /// crowded it out).
     fn note_shed_page(&self, id: SessionId) {
         let Ok(slot) = self.session(id) else { return };
         let mut guard = match slot.inner.try_lock() {
