@@ -29,8 +29,10 @@
 //! id](TdpInstance::slot_id) to its position in a dense pool (one multiply
 //! and about one probe; see `slot_map`), choices inside a structure are addressed by dense index (see
 //! [`successor`]), the sibling scratch buffer is reused across expansions,
-//! and prefixes are shared through an append-only arena. The only
-//! per-result allocation is the output [`Solution`]'s own state vector.
+//! and prefixes are shared through an append-only arena that never stores
+//! the last position (no candidate's prefix reaches it). The popped
+//! candidate's heap slot goes to its first successor. The only per-result
+//! allocation is the output [`Solution`]'s own state vector.
 //!
 //! ## What an enumerator costs
 //!
@@ -80,6 +82,11 @@ pub struct MemoryStats {
     /// Candidates currently in the priority queue.
     pub candidates: usize,
     /// Entries in the shared-prefix arena (each is one state reference).
+    /// They are the entries on the queued candidates' prefix chains, at
+    /// most (ℓ − 1) × `candidates`, plus any orphaned when a choice set
+    /// runs dry: a prefix whose last queued candidate had no successor to
+    /// leave behind. The last serial position is never stored, so the
+    /// arena follows the frontier, not the number of results emitted.
     pub prefix_arena_entries: usize,
     /// Entries the successor-structure index holds before it grows (its
     /// `capacity()`): between `structures_allocated` and about twice it, as
@@ -175,6 +182,24 @@ impl<V: Ord> Ord for Candidate<V> {
     }
 }
 
+/// Queue `c`. While `top_free` is set, the heap's top is the candidate being
+/// expanded, already copied out: `c` overwrites it in place, which costs
+/// one sift-down where a pop and a push cost two sifts. `Candidate`'s order
+/// is total (no two queued candidates share `(r, last, prefix)`), so the pop
+/// sequence does not depend on the heap's layout.
+#[inline]
+fn enqueue<V: Ord>(
+    heap: &mut BinaryHeap<Reverse<Candidate<V>>>,
+    c: Candidate<V>,
+    top_free: &mut bool,
+) {
+    if std::mem::take(top_free) {
+        *heap.peek_mut().expect("the expanded top is queued") = Reverse(c);
+    } else {
+        heap.push(Reverse(c));
+    }
+}
+
 /// Ranked enumeration over a T-DP instance with the anyK-part strategy.
 ///
 /// Construct with [`AnyKPart::new`] and consume as an [`Iterator`] of
@@ -214,9 +239,9 @@ impl<'a, D: Dioid> AnyKPart<'a, D> {
             slot_index: slot_map::new(),
             pool: Vec::new(),
             structure_choices: 0,
-            // Each emitted result pushes O(ℓ) new candidates and arena
-            // entries; pre-size for a handful of results so short top-k runs
-            // never reallocate.
+            // An expansion queues O(ℓ) new candidates and appends ≤ ℓ − 1
+            // arena entries per result; pre-size for a handful of results so
+            // short top-k runs never reallocate.
             cand: BinaryHeap::with_capacity(4 * ell + 16),
             arena: Vec::with_capacity(8 * ell + 16),
             succ_buf: Vec::new(),
@@ -268,6 +293,36 @@ impl<'a, D: Dioid> AnyKPart<'a, D> {
             structures_allocated: indexed.len(),
             structure_choices: self.pool.iter().map(Held::len).sum(),
         }
+    }
+
+    /// Arena entries reachable from the candidate queue: the union of the
+    /// queued candidates' prefix chains. Each chain is walked up to the
+    /// first entry another chain already marked, so the walk is
+    /// `O(arena + candidates)`.
+    #[cfg(test)]
+    fn live_prefix_entries(&self) -> usize {
+        let mut marked = vec![false; self.arena.len()];
+        let mut live = 0;
+        for Reverse(c) in self.cand.iter() {
+            let mut idx = c.prefix;
+            while idx != NO_PREFIX && !marked[idx as usize] {
+                marked[idx as usize] = true;
+                live += 1;
+                idx = self.arena[idx as usize].parent;
+            }
+        }
+        live
+    }
+
+    /// Length of the prefix chain that ends at arena entry `idx`.
+    #[cfg(test)]
+    fn chain_len(&self, mut idx: u32) -> usize {
+        let mut len = 0;
+        while idx != NO_PREFIX {
+            len += 1;
+            idx = self.arena[idx as usize].parent;
+        }
+        len
     }
 
     /// Pool position of the successor structure for the choice set
@@ -355,6 +410,10 @@ impl<'a, D: Dioid> AnyKPart<'a, D> {
         }));
     }
 
+    /// Emit the solution of `cand`, the candidate at the top of the queue,
+    /// and queue the candidates of the subspaces it splits off. `cand` is a
+    /// copy of the top: the top stays queued until the first new candidate
+    /// overwrites it, or is popped at the end if there is none.
     fn expand(&mut self, cand: Candidate<D::V>) -> Solution<D> {
         let ell = self.inst.solution_len();
         let r = cand.r as usize;
@@ -381,6 +440,8 @@ impl<'a, D: Dioid> AnyKPart<'a, D> {
         let mut current = cand.last;
         let mut current_idx = cand.last_idx;
         let mut succ_buf = std::mem::take(&mut self.succ_buf);
+        // `cand` is still the heap's top; the first successor takes its slot.
+        let mut top_free = true;
 
         for pos in r..ell {
             // 1. Generate the new candidates of the subspaces created by
@@ -396,17 +457,29 @@ impl<'a, D: Dioid> AnyKPart<'a, D> {
                 for &sibling_idx in &succ_buf {
                     let (s, value) = st.choice(sibling_idx);
                     let total = D::times(&D::times(&prefix_weight, value), &pending);
-                    self.cand.push(Reverse(Candidate {
+                    let sibling = Candidate {
                         total,
                         prefix: prefix_idx,
                         r: pos as u32,
                         last: *s,
                         last_idx: sibling_idx,
-                    }));
+                    };
+                    enqueue(&mut self.cand, sibling, &mut top_free);
                 }
             }
 
-            // 2. Append `current` to the prefix.
+            // 2. Append `current` to the prefix. The last position gets no
+            //    arena entry: a candidate's prefix covers the positions
+            //    before its deviation, so no candidate can name an entry of
+            //    length ℓ, and storing one would cost an entry per answer
+            //    that nothing reads. Leaving it out shifts later indices
+            //    down but keeps the stored entries in the order they were
+            //    appended, so `Candidate::cmp`'s tie-break on `prefix` ranks
+            //    any two candidates as before and ties break the same way.
+            states.push(current);
+            if pos + 1 == ell {
+                break;
+            }
             prefix_weight = D::times(&prefix_weight, self.inst.weight(current));
             self.arena.push(PrefixEntry {
                 parent: prefix_idx,
@@ -414,19 +487,19 @@ impl<'a, D: Dioid> AnyKPart<'a, D> {
                 weight: prefix_weight.clone(),
             });
             prefix_idx = (self.arena.len() - 1) as u32;
-            states.push(current);
 
             // 3. Follow the optimal choice into the next position.
-            if pos + 1 < ell {
-                let tail_next = self.parent_state(&states, pos + 1);
-                let slot_next = self.slot_of(pos + 1);
-                let p = self.structure(tail_next, slot_next);
-                let st = &self.pool[p];
-                current_idx = st.top();
-                current = st.choice(current_idx).0;
-            }
+            let tail_next = self.parent_state(&states, pos + 1);
+            let slot_next = self.slot_of(pos + 1);
+            let p = self.structure(tail_next, slot_next);
+            let st = &self.pool[p];
+            current_idx = st.top();
+            current = st.choice(current_idx).0;
         }
 
+        if top_free {
+            self.cand.pop();
+        }
         self.succ_buf = succ_buf;
         Solution::new(cand.total, states)
     }
@@ -450,13 +523,13 @@ impl<D: Dioid> Iterator for AnyKPart<'_, D> {
                 return None;
             }
         }
-        match self.cand.pop() {
+        match self.cand.peek() {
             None => {
                 self.finished = true;
                 None
             }
-            Some(Reverse(cand)) => {
-                let sol = self.expand(cand);
+            Some(Reverse(top)) => {
+                let sol = self.expand(top.clone());
                 self.emitted += 1;
                 Some(sol)
             }
@@ -553,6 +626,32 @@ mod tests {
             }
         }
 
+        /// A prefix names the positions before a deviation, so no arena
+        /// entry's chain covers all ℓ positions: the last one is never
+        /// stored.
+        #[test]
+        fn no_prefix_chain_reaches_the_last_position(
+            shape_id in 0usize..5,
+            seed in any::<u64>(),
+            page in 1usize..8,
+        ) {
+            let inst = random_instance(shape(shape_id), seed, 50);
+            let ell = inst.solution_len();
+            for kind in KINDS {
+                let mut it = AnyKPart::new(&inst, kind);
+                loop {
+                    let got = it.by_ref().take(page).count();
+                    for idx in 0..it.arena.len() as u32 {
+                        let len = it.chain_len(idx);
+                        prop_assert!(len < ell, "{:?}: a chain of {} over ℓ = {}", kind, len, ell);
+                    }
+                    if got < page {
+                        break;
+                    }
+                }
+            }
+        }
+
         /// Lazy ranks every choice set, the borrowed root included, exactly
         /// as Eager sorts it, so under heavy ties the two emit the same
         /// solutions in the same order and hold the same MEM(k) after every
@@ -641,6 +740,50 @@ mod tests {
             "Lazy queued {queued} with {} prefixes touched",
             touched.len()
         );
+    }
+
+    /// The arena holds only what the queue reaches. Over a serial instance
+    /// whose choice sets each offer at least two choices, an expansion's
+    /// new entries are all named by the siblings it queues one position
+    /// further on, and the popped candidate's prefix stays on the chain of
+    /// the entry it starts. Only a last-position choice set running dry
+    /// could orphan a prefix, and with more last-stage choices than
+    /// answers pulled none does.
+    #[test]
+    fn the_prefix_arena_holds_only_what_queued_candidates_reach() {
+        let (outer, last) = (8usize, 1024usize);
+        let mut rng = SmallRng::seed_from_u64(3);
+        let mut weight = || (rng.gen_range(0..100u32) as f64).into();
+        let mut b = TdpBuilder::<TropicalMin>::serial(3);
+        let s1: Vec<_> = (0..outer).map(|_| b.add_state(1, weight())).collect();
+        let s2: Vec<_> = (0..outer).map(|_| b.add_state(2, weight())).collect();
+        let s3: Vec<_> = (0..last).map(|_| b.add_state(3, weight())).collect();
+        for &a in &s1 {
+            b.connect_root(a);
+            for &c in &s2 {
+                b.connect(a, c);
+            }
+        }
+        for &a in &s2 {
+            for &c in &s3 {
+                b.connect(a, c);
+            }
+        }
+        let inst = b.build();
+        for kind in KINDS {
+            let mut it = AnyKPart::new(&inst, kind);
+            for k in [10, 100, 1000] {
+                let pulled = k - it.emitted();
+                assert_eq!(it.by_ref().take(pulled).count(), pulled);
+                let stats = it.memory_stats();
+                assert_eq!(
+                    stats.prefix_arena_entries,
+                    it.live_prefix_entries(),
+                    "{kind:?} at k = {k}"
+                );
+                assert!(stats.prefix_arena_entries <= 2 * stats.candidates);
+            }
+        }
     }
 
     /// Example 6/8/9 of the paper: the 3-relation Cartesian product.

@@ -185,8 +185,11 @@
 //!   index holds — at most about two per structure built — and the choices
 //!   held by those structures). A session that pages a short
 //!   prefix of a large plan is charged for that prefix, not for the plan's
-//!   size. Sessions are re-charged their actual footprint after every
-//!   page, so the budget tracks reality, not a static estimate; the cursor
+//!   size, and a session paged deep is charged for its frontier, not its
+//!   k: the prefix arena holds the entries the queued candidates reach
+//!   (never one for an answer's last position), so it grows with the
+//!   candidate queue rather than with the answers emitted. Sessions are
+//!   re-charged their actual footprint after every page, so the budget tracks reality, not a static estimate; the cursor
 //!   keeps these figures as counters, so the re-charge reads five numbers
 //!   however large the plan is. The budget is enforced at open and before
 //!   every page pull: while the resident total is at or over budget, pulls

@@ -167,3 +167,30 @@ fn mem_profile_is_a_cursor_footprint_after_k_answers() {
         }
     }
 }
+
+/// A deep session's prefix arena follows its frontier, not its k: the last
+/// serial position is never stored, so an answer that deviates there adds
+/// no arena entry. On the worst-case 6-cycle most answers do, and the
+/// arena stays below one entry per answer under every anyK-part kind.
+#[test]
+fn the_prefix_arena_stays_below_one_entry_per_answer() {
+    let (n, k) = (40, 4000); // 2·20³ = 16 000 answers
+    let db = Arc::new(cycles::worst_case_cycle_database(6, n, &mut rng(17)));
+    let query = QueryBuilder::cycle(6).build();
+    let plan = PreparedQuery::prepare(db, &query, RankingFunction::SumAscending).unwrap();
+    for algorithm in [
+        AnyKAlgorithm::Eager,
+        AnyKAlgorithm::Lazy,
+        AnyKAlgorithm::All,
+        AnyKAlgorithm::Take2,
+    ] {
+        let stats = plan.mem_profile(algorithm, k).unwrap();
+        // The union's trees each pull up to one answer ahead of the merge.
+        assert!(stats.emitted >= k);
+        assert!(
+            stats.prefix_arena_entries < k,
+            "{algorithm}: {} arena entries after {k} answers",
+            stats.prefix_arena_entries
+        );
+    }
+}
