@@ -341,7 +341,11 @@ impl<'a, D: Dioid> AnyKPart<'a, D> {
     #[cold]
     fn build_structure(&mut self, node: NodeId, slot: u32, d: u32) -> usize {
         let (inst, kind) = (self.inst, self.kind);
-        let choices = || inst.choices(node, slot).collect();
+        let choices = || {
+            let mut set = Vec::with_capacity(inst.successors(node, slot).len());
+            set.extend(inst.choices(node, slot));
+            set
+        };
         let held = if node == NodeId::ROOT {
             inst.root_cache.held(kind, slot, choices)
         } else {
@@ -572,13 +576,16 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut b = TdpBuilder::<TropicalMin>::new();
         let mut stages = vec![StageId::ROOT];
-        let mut states: Vec<Vec<NodeId>> = vec![Vec::new()];
         for (i, &parent) in parents.iter().enumerate() {
             let stage = if parent == 0 {
                 b.add_stage_under_root(&format!("s{}", i + 1), true)
             } else {
                 b.add_stage(&format!("s{}", i + 1), stages[parent], true)
             };
+            stages.push(stage);
+        }
+        let mut states: Vec<Vec<NodeId>> = vec![Vec::new()];
+        for (&parent, &stage) in parents.iter().zip(&stages[1..]) {
             let ids: Vec<NodeId> = (0..rng.gen_range(1usize..6))
                 .map(|_| b.add_state(stage.index(), (rng.gen_range(0..weights) as f64).into()))
                 .collect();
@@ -593,7 +600,6 @@ mod tests {
                     }
                 }
             }
-            stages.push(stage);
             states.push(ids);
         }
         b.build()

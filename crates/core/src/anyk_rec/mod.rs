@@ -154,17 +154,15 @@ impl<'a, D: Dioid> Recursive<'a, D> {
         }
         // Choices₁(s): one entry per unpruned successor, at rank 0; the value
         // w(t) ⊗ π₁(t) was already computed by the bottom-up phase.
-        let frontier: BinaryHeap<Reverse<BranchSol<D::V>>> = self
-            .inst
-            .choices(node, slot)
-            .map(|(child, value)| {
-                Reverse(BranchSol {
-                    weight: value,
-                    child,
-                    rank: 0,
-                })
+        let mut entries = Vec::with_capacity(self.inst.successors(node, slot).len());
+        entries.extend(self.inst.choices(node, slot).map(|(child, value)| {
+            Reverse(BranchSol {
+                weight: value,
+                child,
+                rank: 0,
             })
-            .collect();
+        }));
+        let frontier = BinaryHeap::from(entries);
         self.branch_index.insert(d, self.branch.len() as u32);
         self.branch.push(BranchStream {
             sorted: Vec::new(),

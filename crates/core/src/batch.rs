@@ -54,9 +54,16 @@ impl<'a, D: Dioid> Batch<'a, D> {
             let sid = inst.serial_order()[pos];
             let slot = inst.stage(sid).slot_in_parent;
             let succs = inst.successors(parent_state, slot);
-            // Successor lists are compacted at build time, so every entry is
-            // a live choice; just advance the per-position cursor.
-            let idx = choice_idx[pos];
+            // Advance the per-position cursor past pruned states, which stay
+            // in the successor lists.
+            let zero = D::zero();
+            let mut idx = choice_idx[pos];
+            while succs
+                .get(idx)
+                .is_some_and(|t| *inst.subtree_opt(*t) == zero)
+            {
+                idx += 1;
+            }
             let found = succs.get(idx).copied();
             choice_idx[pos] = idx + 1;
             match found {

@@ -7,14 +7,14 @@
 //! * `π₁(s) = ⊗ over child stages c of branch_opt(s, c)` — the optimal
 //!   completion of the whole subtree below `s`.
 //!
-//! States with `π₁(s) = 0̄` cannot participate in any solution and are
-//! compacted out of every successor list afterwards ([`compact`]), so the
+//! States with `π₁(s) = 0̄` cannot participate in any solution. They stay in
+//! the successor lists, and [`TdpInstance::choices`] skips them, so the
 //! enumeration algorithms never see them. This is the semi-join–style
 //! reduction that the paper identifies with Yannakakis' algorithm on the
 //! Boolean semiring (§3).
 //!
-//! [`eval_state`] and [`compact`] are the only copies of this arithmetic:
-//! [`crate::tdp::TdpBuilder::build`] runs them over every state, and
+//! [`eval_state`] is the only copy of this arithmetic:
+//! [`crate::tdp::TdpBuilder::build`] runs it over every state, and
 //! [`crate::tdp::apply_patch`] over the dirty cone of a patch, which is why a
 //! patched instance is bit-identical to a rebuilt one.
 
@@ -54,33 +54,7 @@ pub(super) fn eval_state<D: Dioid>(
     total
 }
 
-/// Copy the successor CSR `offsets`/`data` without the rows of states that
-/// are not `live` and without edges into them, returning the new offsets and
-/// lists. `slot_offsets` maps each state to its slot ids, as on
-/// [`TdpInstance`]; slot ids keep their numbering.
-pub(super) fn compact(
-    slot_offsets: &[u32],
-    offsets: &[u32],
-    data: &[NodeId],
-    live: &[bool],
-) -> (Vec<u32>, Vec<NodeId>) {
-    let mut new_offsets: Vec<u32> = Vec::with_capacity(offsets.len());
-    new_offsets.push(0);
-    let mut new_data: Vec<NodeId> = Vec::with_capacity(data.len());
-    for (n, &keep_owner) in live.iter().enumerate() {
-        for d in slot_offsets[n] as usize..slot_offsets[n + 1] as usize {
-            if keep_owner {
-                let row = &data[offsets[d] as usize..offsets[d + 1] as usize];
-                new_data.extend(row.iter().filter(|t| live[t.index()]));
-            }
-            new_offsets.push(new_data.len() as u32);
-        }
-    }
-    new_data.shrink_to_fit();
-    (new_offsets, new_data)
-}
-
-/// Run the bottom-up phase over the instance's (uncompacted) successor CSR,
+/// Run the bottom-up phase over the instance's successor CSR,
 /// filling `subtree_opt` and `branch_opt` (the latter keyed by dense slot id).
 pub(crate) fn run<D: Dioid>(instance: &mut TdpInstance<D>) {
     crate::faults::checkpoint("core.bottom_up");

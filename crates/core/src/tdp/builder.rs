@@ -8,23 +8,39 @@ use crate::dioid::Dioid;
 ///
 /// A builder starts with the artificial root stage (stage `0`) containing the
 /// single start state `s₀`. Stages are added under the root or under other
-/// stages, states are added to stages, and decisions connect states of a
-/// stage to states of one of its child stages. [`TdpBuilder::build`] freezes
-/// the instance and runs the DP bottom-up phase.
+/// stages, then states are added to stages, and decisions connect states of
+/// a stage to states of one of its child stages. [`TdpBuilder::build`]
+/// freezes the instance and runs the DP bottom-up phase.
 ///
-/// Decisions are accumulated in one flat `(parent, slot, child)` list — no
-/// per-state adjacency vectors — and scattered into the successor CSR by a
-/// counting sort at [`TdpBuilder::build`] time. Adding a state and adding a
-/// decision are therefore both amortised `O(1)` pushes into flat memory,
-/// which keeps the `O(ℓn)` equi-join compilation allocation-light.
+/// Every stage is added before the first state, so a state's slot ids are
+/// fixed when it is added, and so is the place of its successor rows in the
+/// CSR. A caller that knows a state's row lengths up front
+/// ([`TdpBuilder::add_state_with_rows`], [`TdpBuilder::root_rows`]) writes
+/// each decision into its final place with [`TdpBuilder::set_successor`]:
+/// the equi-join compilation writes every plan array once, at its final
+/// size ([`TdpBuilder::reserve`]). Decisions added one by one with
+/// [`TdpBuilder::connect`] are instead laid out by one counting sort at
+/// build time, after the sized rows of their slot.
 #[derive(Debug, Clone)]
 pub struct TdpBuilder<D: Dioid> {
     stages: Vec<Stage>,
     nodes: Vec<Node<D::V>>,
-    /// All decisions in insertion order: `(parent node, slot, child node)`.
-    edges: Vec<(NodeId, u32, NodeId)>,
-    /// Keep the full pre-compaction successor CSR on the built instance so
-    /// it can be edited with [`crate::tdp::apply_patch`].
+    /// Slot-id base per state; `num_nodes + 1` entries once the first state
+    /// is added (see [`TdpInstance`]), just `[0]` before.
+    slot_offsets: Vec<u32>,
+    /// CSR row ends per slot id, as on [`TdpInstance`]: a row's length is
+    /// fixed when its state is added.
+    succ_offsets: Vec<u32>,
+    /// The sized successor rows; an entry not yet set holds `s₀`, which is
+    /// never a successor.
+    succ_data: Vec<NodeId>,
+    /// The length of each of `s₀`'s rows ([`TdpBuilder::root_rows`]).
+    root_rows: u32,
+    /// Decisions added by [`TdpBuilder::connect`]: `(slot id, child)`, in
+    /// insertion order.
+    connected: Vec<(u32, NodeId)>,
+    /// Keep per-state kill flags so the instance can be edited with
+    /// [`crate::tdp::apply_patch`].
     retain_topology: bool,
 }
 
@@ -53,15 +69,19 @@ impl<D: Dioid> TdpBuilder<D> {
         TdpBuilder {
             stages: vec![root_stage],
             nodes: vec![root_node],
-            edges: Vec::new(),
+            slot_offsets: vec![0],
+            succ_offsets: vec![0],
+            succ_data: Vec::new(),
+            root_rows: 0,
+            connected: Vec::new(),
             retain_topology: false,
         }
     }
 
-    /// Ask [`TdpBuilder::build`] to keep the full pre-compaction successor
-    /// topology on the instance, enabling in-place delta maintenance via
-    /// [`crate::tdp::apply_patch`] at the cost of one extra CSR copy
-    /// (`O(E)` memory). Off by default.
+    /// Make the built instance editable in place by
+    /// [`crate::tdp::apply_patch`] (delta maintenance): it then keeps one
+    /// kill flag per state, `O(n)` bytes. The successor CSR is the same
+    /// either way. Off by default.
     pub fn retain_topology(&mut self, retain: bool) {
         self.retain_topology = retain;
     }
@@ -84,7 +104,14 @@ impl<D: Dioid> TdpBuilder<D> {
     ///
     /// `is_output` controls whether the stage's states contribute payloads to
     /// solution witnesses (auxiliary "value node" stages pass `false`).
+    ///
+    /// # Panics
+    /// Panics once a state has been added: slot ids are fixed per stage.
     pub fn add_stage(&mut self, label: &str, parent: StageId, is_output: bool) -> StageId {
+        assert!(
+            !self.frozen(),
+            "stage {label} added after the first state: add every stage first"
+        );
         let id = StageId(self.stages.len() as u32);
         let slot = self.stages[parent.index()].children.len() as u32;
         self.stages[parent.index()].children.push(id);
@@ -104,26 +131,73 @@ impl<D: Dioid> TdpBuilder<D> {
         self.add_stage(label, StageId::ROOT, is_output)
     }
 
+    /// Size each of `s₀`'s successor rows (one per child stage of the root
+    /// stage) to `len` entries, to be filled with
+    /// [`TdpBuilder::set_successor`].
+    ///
+    /// # Panics
+    /// Panics once a state has been added.
+    pub fn root_rows(&mut self, len: u32) {
+        assert!(!self.frozen(), "s₀'s rows are sized before the first state");
+        self.root_rows = len;
+    }
+
+    /// Reserve room for `states` more states, `slots` more of their
+    /// `(state, child stage)` pairs and `successors` more successor entries
+    /// (`s₀`'s rows included), so that adding them moves no array.
+    pub fn reserve(&mut self, states: usize, slots: usize, successors: usize) {
+        let (root_base, root_slots) = if self.frozen() {
+            (0, 0)
+        } else {
+            (1, self.stages[StageId::ROOT.index()].children.len())
+        };
+        self.nodes.reserve_exact(states);
+        self.slot_offsets.reserve_exact(states + root_base);
+        self.succ_offsets.reserve_exact(slots + root_slots);
+        self.succ_data.reserve_exact(successors);
+    }
+
+    /// Reserve room for `states` more states in the list of `stage`.
+    pub fn reserve_stage(&mut self, stage: StageId, states: usize) {
+        self.stages[stage.index()].nodes.reserve_exact(states);
+    }
+
     /// Add a state with the given weight to the stage with index `stage`
     /// (counting the root stage as `0`) and return its id.
     ///
     /// # Panics
     /// Panics if `stage` does not exist or is the root stage.
     pub fn add_state(&mut self, stage: usize, weight: D::V) -> NodeId {
-        self.add_state_with_payload(stage, weight, 0)
+        self.add_state_with_rows(stage, weight, 0, 0)
     }
 
     /// Like [`TdpBuilder::add_state`] but with an explicit payload (typically
     /// an input-tuple identifier).
     pub fn add_state_with_payload(&mut self, stage: usize, weight: D::V, payload: u64) -> NodeId {
+        self.add_state_with_rows(stage, weight, payload, 0)
+    }
+
+    /// Like [`TdpBuilder::add_state_with_payload`], and size each of the
+    /// state's successor rows (one per child stage of its stage) to
+    /// `row_len` entries, to be filled with [`TdpBuilder::set_successor`]
+    /// before [`TdpBuilder::build`].
+    pub fn add_state_with_rows(
+        &mut self,
+        stage: usize,
+        weight: D::V,
+        payload: u64,
+        row_len: u32,
+    ) -> NodeId {
         assert!(
             stage > 0 && stage < self.stages.len(),
             "invalid stage index {stage}"
         );
+        self.freeze();
         let id = NodeId(self.nodes.len() as u32);
-        let stage_id = StageId(stage as u32);
+        let slots = self.stages[stage].children.len();
+        self.push_slots(slots, row_len);
         self.nodes.push(Node {
-            stage: stage_id,
+            stage: StageId(stage as u32),
             weight,
             payload,
         });
@@ -131,8 +205,33 @@ impl<D: Dioid> TdpBuilder<D> {
         id
     }
 
+    /// Set entry `i` of the successor row of `(parent, slot)` to `child`,
+    /// a state of the `slot`-th child stage of `parent`'s stage.
+    ///
+    /// # Panics
+    /// Panics if `child`'s stage is not that stage, or if the row has no
+    /// entry `i`.
+    #[inline]
+    pub fn set_successor(&mut self, parent: NodeId, slot: u32, i: u32, child: NodeId) {
+        let p_stage = self.nodes[parent.index()].stage;
+        let c_stage = self.nodes[child.index()].stage;
+        assert!(
+            self.stages[p_stage.index()].children.get(slot as usize) == Some(&c_stage),
+            "stage {c_stage:?} is not child {slot} of stage {p_stage:?}"
+        );
+        let d = self.slot_offsets[parent.index()] as usize + slot as usize;
+        let (start, end) = (self.succ_offsets[d], self.succ_offsets[d + 1]);
+        assert!(
+            i < end - start,
+            "entry {i} is beyond the {}-entry row of {parent:?} slot {slot}",
+            end - start
+        );
+        self.succ_data[(start + i) as usize] = child;
+    }
+
     /// Connect two states with a decision. `child`'s stage must be a child of
-    /// `parent`'s stage.
+    /// `parent`'s stage. The decision follows the sized entries of its row
+    /// and the decisions connected into the row before it.
     ///
     /// # Panics
     /// Panics if the stages are not in a parent–child relationship.
@@ -152,7 +251,8 @@ impl<D: Dioid> TdpBuilder<D> {
                     self.stages[p_stage.index()].label
                 )
             });
-        self.edges.push((parent, slot as u32, child));
+        let d = self.slot_offsets[parent.index()] + slot as u32;
+        self.connected.push((d, child));
     }
 
     /// Connect the artificial start state `s₀` to a state whose stage is a
@@ -186,67 +286,101 @@ impl<D: Dioid> TdpBuilder<D> {
         self.stages.len()
     }
 
-    /// Freeze the instance: flatten the adjacency into CSR, compute the
-    /// serial stage order, run the DP bottom-up phase (pruning + `π₁`, one
-    /// serial pass of `bottom_up::eval_state` per state), and compact pruned
-    /// states out of every successor list (`bottom_up::compact`).
-    /// [`crate::tdp::apply_patch`] runs the same two functions.
-    pub fn build(self) -> TdpInstance<D> {
+    /// Whether `s₀`'s slots are fixed, which the first state does.
+    fn frozen(&self) -> bool {
+        self.slot_offsets.len() > self.nodes.len()
+    }
+
+    /// Fix `s₀`'s slot ids and rows; a no-op once done.
+    fn freeze(&mut self) {
+        if !self.frozen() {
+            let slots = self.stages[StageId::ROOT.index()].children.len();
+            self.push_slots(slots, self.root_rows);
+        }
+    }
+
+    /// Give the next state `slots` slot ids with rows of `row_len` unset
+    /// entries each.
+    fn push_slots(&mut self, slots: usize, row_len: u32) {
+        let base = *self.slot_offsets.last().expect("non-empty") as usize;
+        assert!(
+            base + slots <= u32::MAX as usize,
+            "T-DP instance exceeds u32 slot-id space"
+        );
+        self.slot_offsets.push((base + slots) as u32);
+        let first = self.succ_data.len();
+        let len = first + slots * row_len as usize;
+        assert!(
+            len <= u32::MAX as usize,
+            "T-DP instance exceeds u32 successor-offset space ({len} decisions)"
+        );
+        for s in 1..=slots {
+            self.succ_offsets
+                .push((first + s * row_len as usize) as u32);
+        }
+        self.succ_data.resize(len, NodeId::ROOT);
+    }
+
+    /// Merge the decisions of [`TdpBuilder::connect`] into the CSR by one
+    /// counting sort: a slot's row is its sized entries, then its connected
+    /// decisions in insertion order.
+    fn lay_out_connected(&mut self) {
+        let num_slots = self.succ_offsets.len() - 1;
+        let mut offsets: Vec<u32> = vec![0; num_slots + 1];
+        for &(d, _) in &self.connected {
+            offsets[d as usize + 1] += 1;
+        }
+        let total = self.succ_data.len() + self.connected.len();
+        assert!(
+            total <= u32::MAX as usize,
+            "T-DP instance exceeds u32 successor-offset space ({total} decisions)"
+        );
+        let mut data: Vec<NodeId> = vec![NodeId::ROOT; total];
+        let mut cursor: Vec<u32> = Vec::with_capacity(num_slots);
+        for d in 0..num_slots {
+            let sized =
+                &self.succ_data[self.succ_offsets[d] as usize..self.succ_offsets[d + 1] as usize];
+            let start = offsets[d] as usize;
+            offsets[d + 1] += offsets[d] + sized.len() as u32;
+            data[start..start + sized.len()].copy_from_slice(sized);
+            cursor.push((start + sized.len()) as u32);
+        }
+        for &(d, child) in &self.connected {
+            data[cursor[d as usize] as usize] = child;
+            cursor[d as usize] += 1;
+        }
+        self.succ_offsets = offsets;
+        self.succ_data = data;
+    }
+
+    /// Freeze the instance: lay out the connected decisions, compute the
+    /// serial stage order and run the DP bottom-up phase (pruning + `π₁`,
+    /// one serial pass of `bottom_up::eval_state` per state). Pruned states
+    /// stay in the successor rows; [`TdpInstance::choices`] skips them.
+    /// [`crate::tdp::apply_patch`] evaluates states with the same function.
+    pub fn build(mut self) -> TdpInstance<D> {
+        self.freeze();
+        if !self.connected.is_empty() {
+            self.lay_out_connected();
+        }
+        debug_assert!(
+            !self.succ_data.contains(&NodeId::ROOT),
+            "a sized successor row was left with an unset entry"
+        );
         let TdpBuilder {
             stages,
             nodes,
-            edges,
+            slot_offsets,
+            succ_offsets,
+            succ_data,
             retain_topology,
+            ..
         } = self;
         let serial_order = serialise_stages(&stages);
         let parent_pos = compute_parent_positions(&stages, &serial_order);
         let pending = compute_pending_branches(&stages, &serial_order, &parent_pos);
-
-        // Assign dense slot ids: one consecutive id per (node, child stage of
-        // its stage) pair. The CSR always reserves one slot id per child
-        // stage, including slots no decision ever targeted.
-        let num_nodes = nodes.len();
-        let mut slot_offsets: Vec<u32> = Vec::with_capacity(num_nodes + 1);
-        let mut total_slots = 0usize;
-        for node in &nodes {
-            slot_offsets.push(total_slots as u32);
-            total_slots += stages[node.stage.index()].children.len();
-        }
-        assert!(
-            total_slots <= u32::MAX as usize,
-            "T-DP instance exceeds u32 slot-id space ({total_slots} (node, slot) pairs)"
-        );
-        slot_offsets.push(total_slots as u32);
-
-        let total_edges = edges.len();
-        assert!(
-            total_edges <= u32::MAX as usize,
-            "T-DP instance exceeds u32 successor-offset space ({total_edges} decisions)"
-        );
-        // Counting sort of the flat decision list into the successor CSR:
-        // count per slot id, prefix-sum, then scatter in insertion order
-        // (stable, so each successor list keeps its insertion order).
-        let mut succ_offsets: Vec<u32> = vec![0; total_slots + 1];
-        for &(parent, slot, _) in &edges {
-            let d = slot_offsets[parent.index()] as usize + slot as usize;
-            succ_offsets[d + 1] += 1;
-        }
-        for i in 0..total_slots {
-            succ_offsets[i + 1] += succ_offsets[i];
-        }
-        let mut succ_data: Vec<NodeId> = vec![NodeId::ROOT; total_edges];
-        let mut cursor: Vec<u32> = succ_offsets[..total_slots].to_vec();
-        for &(parent, slot, child) in &edges {
-            let d = slot_offsets[parent.index()] as usize + slot as usize;
-            succ_data[cursor[d] as usize] = child;
-            cursor[d] += 1;
-        }
-        // The decision list is three times the CSR's size; free it before
-        // compaction allocates the compacted lists.
-        drop(cursor);
-        drop(edges);
-
         let root_slots = stages[StageId::ROOT.index()].children.len();
+        let killed = retain_topology.then(|| vec![false; nodes.len()]);
         let mut instance = TdpInstance {
             stages,
             nodes,
@@ -258,29 +392,10 @@ impl<D: Dioid> TdpBuilder<D> {
             serial_order,
             parent_pos,
             pending,
-            retained: None,
+            killed,
             root_cache: RootCache::new(root_slots),
         };
         bottom_up::run(&mut instance);
-        let zero = D::zero();
-        let live: Vec<bool> = instance.subtree_opt.iter().map(|v| *v != zero).collect();
-        let (offsets, data) = bottom_up::compact(
-            &instance.slot_offsets,
-            &instance.succ_offsets,
-            &instance.succ_data,
-            &live,
-        );
-        let full_offsets = std::mem::replace(&mut instance.succ_offsets, offsets);
-        let full_data = std::mem::replace(&mut instance.succ_data, data);
-        if retain_topology {
-            // Compaction drops edges into pruned states; apply_patch needs
-            // them to revive such states, so the full CSR moves here.
-            instance.retained = Some(super::delta::RetainedTopology::new(
-                full_offsets,
-                full_data,
-                num_nodes,
-            ));
-        }
         instance
     }
 }

@@ -8,61 +8,35 @@
 //! plus every ancestor whose `π₁` actually changed — instead of re-evaluating
 //! all states.
 //!
-//! ## Retained topology
+//! ## One CSR
 //!
-//! [`TdpBuilder::build`](super::TdpBuilder) compacts pruned states out of the
-//! successor CSR, which destroys exactly the information a patch needs: an
-//! edge into a pruned state must come back if a later insert makes that state
-//! viable again. Instances built with
-//! [`TdpBuilder::retain_topology`](super::TdpBuilder::retain_topology) keep
-//! the **full** pre-compaction CSR (plus per-node "killed" flags) alongside
-//! the compacted one; [`apply_patch`] edits the full CSR, sweeps, and then
-//! re-derives the compacted CSR in one `O(E)` pass with the build's own
-//! `bottom_up::compact` — enumeration hot loops still only ever see
-//! compacted lists.
+//! An instance keeps every decision into a pruned state in its successor
+//! lists ([`TdpInstance::choices`] skips them), so an edge into a pruned
+//! state is still there when a later insert makes that state viable again.
+//! Instances built with
+//! [`TdpBuilder::retain_topology`](super::TdpBuilder::retain_topology) add
+//! one "killed" flag per state; [`apply_patch`] rewrites the CSR with the
+//! edits applied and sweeps it.
 //!
 //! ## The sweep
 //!
 //! Stages are processed children-first (reverse serial order, root last), so
 //! when a dirty state is re-evaluated all of its successors' `π₁` values are
-//! final. A re-evaluation is a call of `bottom_up::eval_state` over the full
-//! CSR, the function the build-time bottom-up phase runs for every state. So
-//! patched values are bit-identical to a from-scratch rebuild over the same
-//! data: the arithmetic is the same code, `⊕` is selective (successor-list
-//! order does not matter), and the `⊗` fold order per state is fixed by the
-//! stage tree. Dirtiness propagates to a state's predecessors only when its
-//! `π₁` changed, which is what keeps the sweep proportional to the affected
-//! cone rather than the instance.
+//! final. A re-evaluation is a call of `bottom_up::eval_state` over the
+//! edited CSR, the function the build-time bottom-up phase runs for every
+//! state. So patched values are bit-identical to a from-scratch rebuild over
+//! the same data: the arithmetic is the same code, `⊕` is selective
+//! (successor-list order does not matter), and the `⊗` fold order per state
+//! is fixed by the stage tree. Dirtiness propagates to a state's
+//! predecessors only when its `π₁` changed, which is what keeps the sweep
+//! proportional to the affected cone rather than the instance.
 //!
 //! Killed states (deleted input tuples) keep `π₁ = 0̄` permanently and are
 //! excluded from re-evaluation; their rows and in-edges are dropped from the
-//! full CSR so no later patch can resurrect them.
+//! CSR so no later patch can resurrect them.
 
 use super::{bottom_up, Node, NodeId, StageId, TdpInstance};
 use crate::dioid::Dioid;
-
-/// The full pre-compaction successor topology, retained at build time so
-/// patches can re-link edges into states the compaction dropped.
-#[derive(Debug, Clone)]
-pub(crate) struct RetainedTopology {
-    /// Full CSR row offsets per slot id (edges into pruned states included).
-    pub(crate) succ_offsets: Vec<u32>,
-    /// Full successor lists, contiguous.
-    pub(crate) succ_data: Vec<NodeId>,
-    /// States killed by patches: permanently `π₁ = 0̄`, never re-evaluated,
-    /// dropped from every successor row.
-    pub(crate) dead: Vec<bool>,
-}
-
-impl RetainedTopology {
-    pub(crate) fn new(succ_offsets: Vec<u32>, succ_data: Vec<NodeId>, num_nodes: usize) -> Self {
-        RetainedTopology {
-            succ_offsets,
-            succ_data,
-            dead: vec![false; num_nodes],
-        }
-    }
-}
 
 /// A batch of structural edits to a built [`TdpInstance`], applied by
 /// [`apply_patch`].
@@ -139,7 +113,7 @@ impl<D: Dioid> TdpPatch<D> {
 pub enum PatchError {
     /// The instance was built without
     /// [`TdpBuilder::retain_topology`](super::TdpBuilder::retain_topology),
-    /// so the pre-compaction successor lists needed for patching are gone.
+    /// so it keeps no kill flags to patch with.
     TopologyNotRetained,
 }
 
@@ -149,7 +123,7 @@ impl std::fmt::Display for PatchError {
             PatchError::TopologyNotRetained => write!(
                 f,
                 "instance was built without retain_topology; \
-                 full successor lists are unavailable for patching"
+                 it keeps no kill flags to patch with"
             ),
         }
     }
@@ -164,15 +138,11 @@ pub struct PatchStats {
     pub nodes_reevaluated: usize,
     /// Total states after the patch.
     pub nodes_total: usize,
-    /// Edges in the full retained CSR after the patch.
-    pub full_edges: usize,
-    /// Edges surviving in the compacted (enumeration-facing) CSR.
-    pub live_edges: usize,
 }
 
-/// Apply `patch` to `instance` in place: edit the retained full CSR, re-sweep
-/// the dirty cone of the bottom-up DP, and re-derive the compacted CSR. See
-/// the module docs for the exact semantics and the bit-identity argument.
+/// Apply `patch` to `instance` in place: rewrite the successor CSR with the
+/// edits applied and re-sweep the dirty cone of the bottom-up DP. See the
+/// module docs for the exact semantics and the bit-identity argument.
 ///
 /// On `Err` the instance is unchanged.
 ///
@@ -184,15 +154,14 @@ pub fn apply_patch<D: Dioid>(
     instance: &mut TdpInstance<D>,
     patch: &TdpPatch<D>,
 ) -> Result<PatchStats, PatchError> {
-    if instance.retained.is_none() {
+    if instance.killed.is_none() {
         return Err(PatchError::TopologyNotRetained);
     }
     crate::faults::checkpoint("core.patch");
-    let mut retained = instance.retained.take().expect("checked above");
+    let mut killed = instance.killed.take().expect("checked above");
     // The root's cached successor structures order the choices of the data
     // as it was.
     instance.root_cache.clear();
-    let zero = D::zero();
 
     // 1. Payload rewrites (pure metadata; no DP impact).
     for &(n, payload) in &patch.payload_updates {
@@ -225,18 +194,18 @@ pub fn apply_patch<D: Dioid>(
         instance
             .branch_opt
             .extend(std::iter::repeat_with(D::zero).take(slots));
-        retained.dead.push(false);
+        killed.push(false);
     }
     let num_nodes = instance.nodes.len();
     let num_slots = *instance.slot_offsets.last().expect("non-empty") as usize;
 
     // 3. Kill states: permanently pruned, excluded from the sweep.
     for &n in &patch.kill_nodes {
-        retained.dead[n.index()] = true;
+        killed[n.index()] = true;
         instance.subtree_opt[n.index()] = D::zero();
     }
 
-    // 4. Rebuild the full CSR with the edge edits applied, seeding the dirty
+    // 4. Rebuild the CSR with the edge edits applied, seeding the dirty
     //    set with every live state whose successor row changed (plus all new
     //    states). Surviving edges keep their order; additions append in
     //    queue order — successor-list order does not affect DP values (see
@@ -266,15 +235,16 @@ pub fn apply_patch<D: Dioid>(
     let mut dirty = vec![false; num_nodes];
     dirty[old_num_nodes..num_nodes].fill(true);
 
-    let old_slot_count = retained.succ_offsets.len() - 1;
-    let mut full_offsets: Vec<u32> = Vec::with_capacity(num_slots + 1);
-    full_offsets.push(0);
-    let mut full_data: Vec<NodeId> =
-        Vec::with_capacity(retained.succ_data.len() + patch.add_edges.len());
+    let old_offsets = std::mem::take(&mut instance.succ_offsets);
+    let old_data = std::mem::take(&mut instance.succ_data);
+    let old_slot_count = old_offsets.len() - 1;
+    let mut offsets: Vec<u32> = Vec::with_capacity(num_slots + 1);
+    offsets.push(0);
+    let mut data: Vec<NodeId> = Vec::with_capacity(old_data.len() + patch.add_edges.len());
     let mut add_cursor = 0usize;
     let mut rem_cursor = 0usize;
     for (n, dirty_n) in dirty.iter_mut().enumerate() {
-        let owner_dead = retained.dead[n];
+        let owner_dead = killed[n];
         let first = instance.slot_offsets[n] as usize;
         let last = instance.slot_offsets[n + 1] as usize;
         for d in first..last {
@@ -288,17 +258,14 @@ pub fn apply_patch<D: Dioid>(
             }
             let row_removes = &removes[rem_cursor..rem_end];
             if d < old_slot_count {
-                let start = retained.succ_offsets[d] as usize;
-                let end = retained.succ_offsets[d + 1] as usize;
-                for &t in &retained.succ_data[start..end] {
-                    if owner_dead
-                        || retained.dead[t.index()]
-                        || row_removes.iter().any(|r| r.1 == t.0)
-                    {
+                let start = old_offsets[d] as usize;
+                let end = old_offsets[d + 1] as usize;
+                for &t in &old_data[start..end] {
+                    if owner_dead || killed[t.index()] || row_removes.iter().any(|r| r.1 == t.0) {
                         changed = true;
                         continue;
                     }
-                    full_data.push(t);
+                    data.push(t);
                 }
             }
             while add_cursor < adds.len() && (adds[add_cursor].0 as usize) < d {
@@ -307,20 +274,20 @@ pub fn apply_patch<D: Dioid>(
             while add_cursor < adds.len() && adds[add_cursor].0 as usize == d {
                 let t = adds[add_cursor].1;
                 add_cursor += 1;
-                if owner_dead || retained.dead[t.index()] {
+                if owner_dead || killed[t.index()] {
                     continue;
                 }
-                full_data.push(t);
+                data.push(t);
                 changed = true;
             }
             if changed && !owner_dead {
                 *dirty_n = true;
             }
-            full_offsets.push(full_data.len() as u32);
+            offsets.push(data.len() as u32);
         }
     }
     assert!(
-        full_data.len() <= u32::MAX as usize,
+        data.len() <= u32::MAX as usize,
         "patched instance exceeds u32 successor-offset space"
     );
 
@@ -347,16 +314,16 @@ pub fn apply_patch<D: Dioid>(
         for idx in 0..instance.stages[sid.index()].nodes.len() {
             let nid = instance.stages[sid.index()].nodes[idx];
             let n = nid.index();
-            if retained.dead[n] {
+            if killed[n] {
                 continue;
             }
             let first = instance.slot_offsets[n] as usize;
             let needs_eval = dirty[n]
                 || scan_slots.iter().any(|&off| {
                     let d = first + off;
-                    let start = full_offsets[d] as usize;
-                    let end = full_offsets[d + 1] as usize;
-                    full_data[start..end].iter().any(|t| changed[t.index()])
+                    let start = offsets[d] as usize;
+                    let end = offsets[d + 1] as usize;
+                    data[start..end].iter().any(|t| changed[t.index()])
                 });
             if !needs_eval {
                 continue;
@@ -364,8 +331,8 @@ pub fn apply_patch<D: Dioid>(
             nodes_reevaluated += 1;
             let total = bottom_up::eval_state::<D>(
                 &instance.nodes,
-                &full_offsets,
-                &full_data,
+                &offsets,
+                &data,
                 &instance.subtree_opt,
                 &mut instance.branch_opt,
                 first,
@@ -379,23 +346,13 @@ pub fn apply_patch<D: Dioid>(
         }
     }
 
-    // 7. Re-derive the compacted CSR the enumeration hot loops consume with
-    //    the build's compaction (killed states have π₁ = 0̄, so they fall
-    //    out here too).
-    let live: Vec<bool> = instance.subtree_opt.iter().map(|v| *v != zero).collect();
-    (instance.succ_offsets, instance.succ_data) =
-        bottom_up::compact(&instance.slot_offsets, &full_offsets, &full_data, &live);
-
-    let stats = PatchStats {
+    instance.succ_offsets = offsets;
+    instance.succ_data = data;
+    instance.killed = Some(killed);
+    Ok(PatchStats {
         nodes_reevaluated,
         nodes_total: num_nodes,
-        full_edges: full_data.len(),
-        live_edges: instance.succ_data.len(),
-    };
-    retained.succ_offsets = full_offsets;
-    retained.succ_data = full_data;
-    instance.retained = Some(retained);
-    Ok(stats)
+    })
 }
 
 #[cfg(test)]
@@ -449,7 +406,7 @@ mod tests {
         assert_eq!(stats.nodes_reevaluated, 0);
         assert_eq!(*inst.optimum(), before);
         assert_eq!(inst.num_edges(), edges);
-        assert!(inst.supports_patch(), "retained topology survives");
+        assert!(inst.supports_patch(), "the kill flags survive");
     }
 
     #[test]
@@ -486,8 +443,8 @@ mod tests {
 
     #[test]
     fn an_insert_can_resurrect_a_pruned_state() {
-        // m2 pruned at build time (no edge to stage 3); the retained full CSR
-        // still holds a→m2, so adding m2→z revives the branch.
+        // m2 pruned at build time (no edge to stage 3); the CSR still holds
+        // a→m2, so adding m2→z revives the branch.
         let mut b = chain_builder();
         let a = b.add_state(1, 1.0.into());
         let m1 = b.add_state(2, 10.0.into());
@@ -507,7 +464,8 @@ mod tests {
         assert_ne!(*inst.subtree_opt(m2), TropicalMin::zero(), "revived");
         assert_eq!(*inst.optimum(), OrderedF64::from(106.0));
         assert_eq!(inst.count_solutions(), 2);
-        assert_eq!(inst.successors(a, 0), &[m1, m2], "compaction re-admits m2");
+        let choices: Vec<NodeId> = inst.choices(a, 0).map(|(t, _)| t).collect();
+        assert_eq!(choices, [m1, m2], "m2's choice comes back");
     }
 
     #[test]

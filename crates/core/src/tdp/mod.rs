@@ -15,8 +15,8 @@
 //!
 //! The instance is immutable after [`TdpBuilder::build`], which also runs the
 //! standard DP **bottom-up phase** (Eq. 2 / Eq. 7): it computes, for every
-//! state, the weight of its optimal subtree completion and prunes states that
-//! cannot reach a full solution (`π₁ = 0̄`).
+//! state, the weight of its optimal subtree completion and marks the states
+//! that cannot reach a full solution as pruned (`π₁ = 0̄`).
 //!
 //! ## Memory layout: CSR with dense slot ids
 //!
@@ -36,11 +36,12 @@
 //!   the list of slot id `d` is `succ_data[succ_offsets[d]..succ_offsets[d+1]]`.
 //! * `branch_opt: Vec<V>` is keyed by slot id; `subtree_opt: Vec<V>` by node.
 //!
-//! [`TdpBuilder::build`] additionally **compacts pruned states out of every
-//! successor list** after the bottom-up phase: a surviving list contains only
-//! states with `π₁ ≠ 0̄` (and pruned states keep empty lists), so
-//! [`TdpInstance::choices`] iterates a plain slice — no per-iteration
-//! pruning filter, no branch mispredictions in the enumeration hot loops.
+//! An instance holds **one** successor CSR. Pruned states stay in it, and
+//! [`TdpInstance::choices`] skips them: enumeration reads a choice set once,
+//! when it builds that set's successor structure, so the skip costs one
+//! comparison per choice there and nothing per answer. Keeping them means
+//! no build-time copy of the edges without them, and it is what lets
+//! [`apply_patch`] revive a pruned state in place.
 
 mod bottom_up;
 mod builder;
@@ -130,8 +131,7 @@ pub struct TdpInstance<D: Dioid> {
     /// CSR row offsets into `succ_data`, keyed by slot id. Length
     /// `num_slot_ids + 1`.
     pub(crate) succ_offsets: Vec<u32>,
-    /// All successor lists, contiguous. After [`TdpBuilder::build`] these
-    /// contain only unpruned states (and pruned states own empty lists).
+    /// All successor lists, contiguous, pruned states included.
     pub(crate) succ_data: Vec<NodeId>,
     /// `π₁(s)`: weight of the optimal subtree completion rooted at `s`
     /// (excluding `s`'s own weight). `0̄` for pruned states. Keyed by node.
@@ -152,10 +152,11 @@ pub struct TdpInstance<D: Dioid> {
     /// slot)` of branches that hang off the prefix but are not covered by the
     /// subtree of the stage at position `j` (see `anyk_part`).
     pub(crate) pending: Vec<Vec<(Option<usize>, u32)>>,
-    /// The full pre-compaction successor topology, kept only when the
-    /// builder was asked to [`TdpBuilder::retain_topology`] — required by
-    /// [`apply_patch`] (delta ingestion). `None` for ordinary instances.
-    pub(crate) retained: Option<delta::RetainedTopology>,
+    /// Per state: killed by a patch (a deleted input tuple), so `π₁ = 0̄`
+    /// for good. Kept only when the builder was asked to
+    /// [`TdpBuilder::retain_topology`], which [`apply_patch`] (delta
+    /// ingestion) requires; `None` for ordinary instances.
+    pub(crate) killed: Option<Vec<bool>>,
     /// Successor structures of the root's choice sets, filled by the first
     /// enumerator that needs one and shared by the rest. Cloning the
     /// instance yields an empty cache and [`apply_patch`] empties it: the
@@ -174,9 +175,8 @@ impl<D: Dioid> TdpInstance<D> {
         self.nodes.len()
     }
 
-    /// Number of decisions (edges) in the pruned instance: decisions into
-    /// pruned states are compacted away by [`TdpBuilder::build`] and not
-    /// counted.
+    /// Number of decisions (edges) stored, those into pruned states
+    /// included.
     pub fn num_edges(&self) -> usize {
         self.succ_data.len()
     }
@@ -234,10 +234,9 @@ impl<D: Dioid> TdpInstance<D> {
         &self.branch_opt[self.slot_id(id, slot) as usize]
     }
 
-    /// Successor states of `id` in the `slot`-th child stage of its stage.
-    ///
-    /// After [`TdpBuilder::build`] the returned slice contains only unpruned
-    /// states; pruned states have empty successor lists.
+    /// Successor states of `id` in the `slot`-th child stage of its stage,
+    /// in insertion order, pruned states included ([`Self::choices`] skips
+    /// them).
     #[inline]
     pub fn successors(&self, id: NodeId, slot: u32) -> &[NodeId] {
         let d = self.slot_id(id, slot) as usize;
@@ -274,22 +273,25 @@ impl<D: Dioid> TdpInstance<D> {
     }
 
     /// Iterate over the `(successor, choice value)` pairs of the choice set
-    /// `Choices(s, slot)`. Successor lists are compacted at build time, so no
-    /// per-iteration pruning filter is needed.
+    /// `Choices(s, slot)`: the successors in list order, skipping pruned
+    /// states (`π₁ = 0̄`). At most `successors(id, slot).len()` items.
     pub fn choices(&self, id: NodeId, slot: u32) -> impl Iterator<Item = (NodeId, D::V)> + '_ {
-        self.successors(id, slot)
-            .iter()
-            .map(move |&t| (t, self.choice_value(t)))
+        let zero = D::zero();
+        self.successors(id, slot).iter().filter_map(move |&t| {
+            let sub = self.subtree_opt(t);
+            (*sub != zero).then(|| (t, D::times(self.weight(t), sub)))
+        })
     }
 
     /// Count the total number of solutions by stage-wise suffix counting
-    /// (exact, without enumerating them). Saturates at `u128::MAX`.
+    /// over the choice sets (exact, without enumerating them; a pruned
+    /// successor counts nothing). Saturates at `u128::MAX`.
     ///
     /// This is the quantity `Π*(1)` used in the proof of Theorem 11.
     pub fn count_solutions(&self) -> u128 {
         let mut counts: Vec<u128> = vec![0; self.nodes.len()];
-        // Compacted successor lists make pruned branches contribute 0
-        // without any explicit filtering.
+        // A pruned successor completes no solution; skipping it also keeps
+        // out a state a patch killed, whose count is never computed.
         for sid in self.stages_children_first() {
             let stage = &self.stages[sid.index()];
             let num_slots = stage.children.len();
@@ -297,9 +299,8 @@ impl<D: Dioid> TdpInstance<D> {
                 let mut total: u128 = 1;
                 for slot in 0..num_slots {
                     let branch: u128 = self
-                        .successors(nid, slot as u32)
-                        .iter()
-                        .map(|t| counts[t.index()])
+                        .choices(nid, slot as u32)
+                        .map(|(t, _)| counts[t.index()])
                         .fold(0u128, |a, b| a.saturating_add(b));
                     total = total.saturating_mul(branch);
                 }
@@ -325,20 +326,11 @@ impl<D: Dioid> TdpInstance<D> {
         &self.pending[pos]
     }
 
-    /// True if this instance retained its full pre-compaction topology and
-    /// can therefore be edited with [`apply_patch`].
+    /// True if this instance was built with
+    /// [`TdpBuilder::retain_topology`] and can therefore be edited with
+    /// [`apply_patch`].
     pub fn supports_patch(&self) -> bool {
-        self.retained.is_some()
-    }
-
-    /// Approximate heap bytes of the retained full topology (0 for ordinary
-    /// instances) — the memory cost of keeping an instance patchable.
-    pub fn retained_topology_bytes(&self) -> usize {
-        self.retained.as_ref().map_or(0, |r| {
-            r.succ_offsets.len() * std::mem::size_of::<u32>()
-                + r.succ_data.len() * std::mem::size_of::<NodeId>()
-                + r.dead.len()
-        })
+        self.killed.is_some()
     }
 }
 
@@ -402,9 +394,13 @@ mod tests {
         assert_eq!(*inst.subtree_opt(dead), TropicalMin::zero());
         assert_eq!(*inst.optimum(), OrderedF64::from(13.0));
         assert_eq!(inst.count_solutions(), 1);
-        // Compaction removed the decision into `dead` and emptied its lists.
-        assert_eq!(inst.successors(a, 0), &[good]);
-        assert_eq!(inst.num_edges(), 3);
+        // The decision into `dead` stays stored; its choice set skips it.
+        assert_eq!(inst.successors(a, 0), &[good, dead]);
+        assert_eq!(
+            inst.choices(a, 0).map(|(t, _)| t).collect::<Vec<_>>(),
+            [good]
+        );
+        assert_eq!(inst.num_edges(), 4);
     }
 
     #[test]

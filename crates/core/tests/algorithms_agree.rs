@@ -4,7 +4,7 @@
 //! bottom-up phase and with brute force.
 
 use anyk_core::dioid::{Dioid, OrderedF64, TropicalMin};
-use anyk_core::tdp::{top1_solution, NodeId, TdpBuilder, TdpInstance};
+use anyk_core::tdp::{top1_solution, NodeId, StageId, TdpBuilder, TdpInstance};
 use anyk_core::{ranked_enumerate, AnyKAlgorithm, AnyKPart, Recursive, Solution, SuccessorKind};
 use proptest::prelude::*;
 
@@ -137,6 +137,10 @@ proptest! {
     ) {
         let mut b = TdpBuilder::<TropicalMin>::new();
         let root_stage = b.add_stage_under_root("root", true);
+        // Every stage before the first state: slot ids are fixed per stage.
+        let leaf_stages: Vec<StageId> = (0..branch_specs.len())
+            .map(|i| b.add_stage(&format!("leaf{i}"), root_stage, true))
+            .collect();
         let roots: Vec<NodeId> = root_weights
             .iter()
             .map(|&w| b.add_state(root_stage.index(), OrderedF64::from(w as f64)))
@@ -145,7 +149,7 @@ proptest! {
             b.connect_root(r);
         }
         for (i, (leaf_weights, adjacency)) in branch_specs.iter().enumerate() {
-            let stage = b.add_stage(&format!("leaf{i}"), root_stage, true);
+            let stage = leaf_stages[i];
             let leaves: Vec<NodeId> = leaf_weights
                 .iter()
                 .map(|&w| b.add_state(stage.index(), OrderedF64::from(w as f64)))
@@ -183,6 +187,10 @@ fn build_star(
 ) -> TdpInstance<TropicalMin> {
     let mut b = TdpBuilder::<TropicalMin>::new();
     let center_stage = b.add_stage_under_root("center", true);
+    // Every stage before the first state: slot ids are fixed per stage.
+    let leaf_stages: Vec<StageId> = (0..branch_specs.len())
+        .map(|i| b.add_stage(&format!("leaf{i}"), center_stage, true))
+        .collect();
     let centers: Vec<NodeId> = center_weights
         .iter()
         .map(|&w| b.add_state(center_stage.index(), OrderedF64::from(w as f64)))
@@ -191,7 +199,7 @@ fn build_star(
         b.connect_root(c);
     }
     for (i, (leaf_weights, adjacency)) in branch_specs.iter().enumerate() {
-        let stage = b.add_stage(&format!("leaf{i}"), center_stage, true);
+        let stage = leaf_stages[i];
         let leaves: Vec<NodeId> = leaf_weights
             .iter()
             .map(|&w| b.add_state(stage.index(), OrderedF64::from(w as f64)))
@@ -251,10 +259,10 @@ proptest! {
 
     /// The flat CSR accessors agree with a hand-built nested-vec oracle on
     /// random serial instances: successor lists are exactly the adjacency
-    /// rows restricted to states that can still complete a solution
-    /// (build-time pruning compaction), `subtree_opt = 0̄` exactly for the
-    /// pruned states, and `branch_opt` (keyed by dense slot id) equals the
-    /// minimum choice value of the compacted list.
+    /// rows, choice sets are those rows restricted to states that can still
+    /// complete a solution, `subtree_opt = 0̄` exactly for the pruned
+    /// states, and `branch_opt` (keyed by dense slot id) equals the minimum
+    /// value of the choice set.
     #[test]
     fn csr_accessors_agree_with_nested_vec_oracle(spec in serial_spec(5, 5)) {
         let stages = spec.stage_weights.len();
@@ -282,7 +290,7 @@ proptest! {
             .map(|&n| (0..n).map(|_| { let id = NodeId(next_id); next_id += 1; id }).collect())
             .collect();
 
-        // Hand-built nested-vec oracle of the *compacted* adjacency.
+        // Hand-built nested-vec oracle of the adjacency and the choice sets.
         for i in 0..stages {
             for a in 0..sizes[i] {
                 let nid = ids[i][a];
@@ -294,23 +302,28 @@ proptest! {
                 if i + 1 == stages {
                     continue;
                 }
-                let oracle: Vec<NodeId> = if alive[i][a] {
-                    spec.edges[i][a]
-                        .iter()
-                        .enumerate()
-                        .filter(|&(b, &connected)| connected && alive[i + 1][b])
-                        .map(|(b, _)| ids[i + 1][b])
-                        .collect()
-                } else {
-                    Vec::new() // pruned states own empty compacted lists
-                };
+                let row: Vec<usize> = spec.edges[i][a]
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &connected)| connected)
+                    .map(|(b, _)| b)
+                    .collect();
+                let successors: Vec<NodeId> = row.iter().map(|&b| ids[i + 1][b]).collect();
                 prop_assert_eq!(
                     inst.successors(nid, 0),
-                    oracle.as_slice(),
+                    successors.as_slice(),
                     "successors of stage {} state {}", i, a
                 );
-                // branch_opt (slot-id keyed) is the min choice value of the
-                // compacted list.
+                // A pruned state has no live successor, so its choice set is
+                // empty too.
+                let live: Vec<NodeId> = row
+                    .iter()
+                    .filter(|&&b| alive[i + 1][b])
+                    .map(|&b| ids[i + 1][b])
+                    .collect();
+                let choices: Vec<NodeId> = inst.choices(nid, 0).map(|(t, _)| t).collect();
+                prop_assert_eq!(choices, live, "choices of stage {} state {}", i, a);
+                // branch_opt (slot-id keyed) is the min choice value.
                 let expected_branch = inst
                     .choices(nid, 0)
                     .map(|(_, v)| v)
@@ -323,9 +336,12 @@ proptest! {
                 );
             }
         }
-        // Root successors: exactly the alive first-stage states.
+        // Root successors: every first-stage state; its choices: the alive
+        // ones.
+        prop_assert_eq!(inst.successors(NodeId::ROOT, 0), ids[0].as_slice());
         let root_oracle: Vec<NodeId> = (0..sizes[0]).filter(|&a| alive[0][a]).map(|a| ids[0][a]).collect();
-        prop_assert_eq!(inst.successors(NodeId::ROOT, 0), root_oracle.as_slice());
+        let root_choices: Vec<NodeId> = inst.choices(NodeId::ROOT, 0).map(|(t, _)| t).collect();
+        prop_assert_eq!(root_choices, root_oracle);
         // Dense slot ids: exactly one per non-leaf state (incl. root), in order.
         let non_leaf_states = 1 + sizes[..stages - 1].iter().sum::<usize>();
         prop_assert_eq!(inst.num_slot_ids(), non_leaf_states);

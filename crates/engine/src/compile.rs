@@ -18,7 +18,7 @@ use anyk_core::dioid::{Dioid, OrderedF64};
 use anyk_core::solution::Solution;
 use anyk_core::tdp::{NodeId, StageId, TdpBuilder, TdpInstance};
 use anyk_query::{gyo, ConjunctiveQuery, JoinTree};
-use anyk_storage::{Database, HashIndex, RowRef, Value};
+use anyk_storage::{Database, HashIndex, KeyMap, Relation, RowRef, Value};
 use std::sync::Arc;
 
 /// A compiled acyclic query: the T-DP instance plus the metadata needed to
@@ -73,12 +73,32 @@ pub(crate) struct AtomLink {
     pub(crate) child_positions: Vec<usize>,
     /// The value-node stage between parent and child.
     pub(crate) value_stage: StageId,
-    /// The value node of every join-key value that has one — keys occurring
-    /// on the parent side at compile time, plus keys whose vnode a later
-    /// refresh created. Orphaned vnodes (all parents deleted) stay mapped:
-    /// the "state exists ⇔ key has a vnode" invariant is what lets a refresh
-    /// materialise new child tuples exactly once.
-    pub(crate) vnode_by_key: std::collections::HashMap<Vec<Value>, NodeId>,
+    /// The value node (its `NodeId`'s number) of every join-key value that
+    /// has one — keys occurring on the parent side at compile time, plus
+    /// keys whose vnode a later refresh created. Orphaned vnodes (all
+    /// parents deleted) stay mapped: the "state exists ⇔ key has a vnode"
+    /// invariant is what lets a refresh materialise new child tuples exactly
+    /// once. Keys are stored flat, so a refresh clones this with a copy.
+    pub(crate) vnodes: KeyMap,
+}
+
+/// A link of the join tree while the plan compiles: the parent atom, the
+/// join key's positions on both sides, the value-node stage and its slot
+/// under the parent's stage, the parent's index on the key, and the child
+/// rows that find a group in it.
+struct Link {
+    parent: usize,
+    parent_positions: Vec<usize>,
+    child_positions: Vec<usize>,
+    value_stage: StageId,
+    slot: u32,
+    index: Arc<HashIndex>,
+    /// The child rows whose key occurs on the parent side, in row order:
+    /// each one's position in the atom's rows and its group. The others
+    /// are dropped — the "semi-join" part of the encoding.
+    matched: Vec<(u32, u32)>,
+    /// Per group: its matched child rows.
+    group_rows: Vec<u32>,
 }
 
 /// Validate that every atom references an existing relation of matching arity.
@@ -117,9 +137,10 @@ where
 
 /// The compile entry point over the rows `selection` lists (see
 /// [`crate::select`]), with `retain_delta` explicit: when set, the plan
-/// additionally keeps the full T-DP topology and the tuple↔state
-/// bookkeeping needed for [`crate::refresh`] (one extra CSR copy plus `O(n)`
-/// state maps). A plan over a non-trivial selection never keeps it, since
+/// additionally keeps the tuple↔state bookkeeping needed for
+/// [`crate::refresh`]: `O(n)` state maps, a kill flag per T-DP state and a
+/// flat key table per join-tree link; the T-DP successor CSR is the same
+/// one. A plan over a non-trivial selection never keeps it, since
 /// refresh maps states by tuple id over every row. The join tree is GYO's,
 /// rerooted at [`plan_root`].
 ///
@@ -191,44 +212,22 @@ where
     let order = join_tree.traversal_order();
     let mut builder = TdpBuilder::<D>::new();
     builder.retain_topology(retain_delta);
-    // Delta bookkeeping, filled only when `retain_delta` (see DeltaSupport).
-    let mut parent_link: Vec<Option<AtomLink>> = vec![None; atoms.len()];
-    let mut tree_children: Vec<Vec<usize>> = vec![Vec::new(); atoms.len()];
 
-    // Stage id of each atom's (output) stage, indexed by atom index.
+    // Every stage first, with each link's parent index and the child rows
+    // that find a group in it. Slot ids are then fixed as each state is
+    // added, and the root's rows, the matched rows and the groups per index
+    // bound every plan array, which is reserved before the first state and
+    // written once.
     let mut stage_of_atom: Vec<Option<StageId>> = vec![None; atoms.len()];
-    // T-DP states of each atom's rows, indexed by atom index then row (the
-    // tuple id itself when the atom ranges over every row). `None` for rows
-    // that were not materialised (child tuples whose join key never occurs
-    // on the parent side). A state's payload is its tuple id.
-    let mut states_of_atom: Vec<Vec<Option<NodeId>>> = vec![Vec::new(); atoms.len()];
-
-    for (visit_idx, &atom_idx) in order.iter().enumerate() {
+    let mut links: Vec<Option<Link>> = (0..atoms.len()).map(|_| None).collect();
+    let mut tree_children: Vec<Vec<usize>> = vec![Vec::new(); atoms.len()];
+    for &atom_idx in &order {
         let atom = &atoms[atom_idx];
-        let relation = db.expect(&atom.relation);
-        let tids = selection.tuple_ids(atom_idx, relation);
-        if visit_idx == 0 {
-            // Root atom: its stage hangs directly under the T-DP root and
-            // every row connects to s₀.
-            let stage = builder.add_stage_under_root(&atom.relation, true);
-            stage_of_atom[atom_idx] = Some(stage);
-            states_of_atom[atom_idx] = tids
-                .map(|tid| {
-                    let s = builder.add_state_with_payload(
-                        stage.index(),
-                        OrderedF64::from(weight_fn(relation.tuple(tid))),
-                        tid as u64,
-                    );
-                    builder.connect_root(s);
-                    Some(s)
-                })
-                .collect();
+        let Some(parent_idx) = join_tree.parent(atom_idx) else {
+            // The root atom's stage hangs directly under the T-DP root.
+            stage_of_atom[atom_idx] = Some(builder.add_stage_under_root(&atom.relation, true));
             continue;
-        }
-
-        let parent_idx = join_tree
-            .parent(atom_idx)
-            .expect("non-root atom has a parent in the join tree");
+        };
         let parent_atom = &atoms[parent_idx];
         let parent_stage = stage_of_atom[parent_idx].expect("parent visited before child");
 
@@ -238,23 +237,22 @@ where
         let parent_positions = parent_atom.positions_of(&key_vars)?;
         let child_positions = atom.positions_of(&key_vars)?;
 
+        // The parent's stage holds one value stage per child link, in order.
+        let slot = tree_children[parent_idx].len() as u32;
         let value_stage = builder.add_stage(
             &format!("{}⋈{}", parent_atom.relation, atom.relation),
             parent_stage,
             false,
         );
-        let atom_stage = builder.add_stage(&atom.relation, value_stage, true);
-        stage_of_atom[atom_idx] = Some(atom_stage);
+        stage_of_atom[atom_idx] = Some(builder.add_stage(&atom.relation, value_stage, true));
 
-        // One value node per distinct join-key value occurring on the parent
-        // side; parent rows connect to their key's value node. A parent over
-        // every row takes its index from the database's per-(relation, key)
-        // cache — a self-join or a star query re-joining the same parent key
-        // hits the cache — and a selected parent gets one over its listed
-        // rows, private to this compile. Either way the index's retained
-        // row→group map resolves each parent row's group with one array read
-        // (the build already hashed every row).
-        let parent_index = match selection.rows(parent_idx) {
+        // A parent over every row takes its index from the database's
+        // per-(relation, key) cache — a self-join or a star query re-joining
+        // the same parent key hits the cache — and a selected parent gets one
+        // over its listed rows, private to this compile. Either way the
+        // index's retained row→group map resolves each parent row's group
+        // with one array read (the build already hashed every row).
+        let index = match selection.rows(parent_idx) {
             None => db.index(&parent_atom.relation, &parent_positions),
             Some(rows) => Arc::new(HashIndex::build_rows(
                 db.expect(&parent_atom.relation),
@@ -262,58 +260,149 @@ where
                 Some(rows),
             )),
         };
-        let mut vnode_of_group: Vec<Option<NodeId>> = vec![None; parent_index.num_groups()];
-        for (row, pstate) in states_of_atom[parent_idx].iter().enumerate() {
+
+        // Probing uses the single-column fast path when the join key is one
+        // variable (the common case for the paper's path/star/cycle
+        // queries): a read of the one key column.
+        let relation = db.expect(&atom.relation);
+        let tids = selection.tuple_ids(atom_idx, relation);
+        let mut group_rows: Vec<u32> = vec![0; index.num_groups()];
+        let mut matched: Vec<(u32, u32)> = Vec::with_capacity(tids.len());
+        let key_column = (child_positions.len() == 1).then(|| relation.column(child_positions[0]));
+        for (i, tid) in tids.enumerate() {
+            let g = match key_column {
+                Some(col) => index.group_of1(col[tid]),
+                None => index.group_of_row_in(relation, tid, &child_positions),
+            };
+            if let Some(g) = g {
+                group_rows[g] += 1;
+                matched.push((i as u32, g as u32));
+            }
+        }
+        tree_children[parent_idx].push(atom_idx);
+        links[atom_idx] = Some(Link {
+            parent: parent_idx,
+            parent_positions,
+            child_positions,
+            value_stage,
+            slot,
+            index,
+            matched,
+            group_rows,
+        });
+    }
+    let stage_of_atom: Vec<StageId> = stage_of_atom
+        .into_iter()
+        .map(|s| s.expect("every atom was visited"))
+        .collect();
+
+    // Sizes, bounded by what the join can keep: an atom gets at most one
+    // state per root row or matched row, and a link at most one value node
+    // per group and per parent state. Every atom state has one successor
+    // per child link (its key's value node), a value node one row, and s₀
+    // one entry per root row.
+    let rows = |a: usize| selection.tuple_ids(a, db.expect(&atoms[a].relation)).len();
+    let root = order[0];
+    let at_most = |a: usize| links[a].as_ref().map_or(rows(root), |l| l.matched.len());
+    let (mut states, mut slots, mut successors) = (0, 0, rows(root));
+    for &a in &order {
+        let (n, children) = (at_most(a), tree_children[a].len());
+        states += n;
+        slots += n * children;
+        successors += n * children;
+        builder.reserve_stage(stage_of_atom[a], n);
+        if let Some(link) = &links[a] {
+            let vnodes = link.index.num_groups().min(at_most(link.parent));
+            states += vnodes;
+            slots += vnodes;
+            successors += n;
+            builder.reserve_stage(link.value_stage, vnodes);
+        }
+    }
+    builder.reserve(states, slots, successors);
+    let root_rows = u32::try_from(rows(root)).expect("a relation's rows fit u32 node ids");
+    builder.root_rows(root_rows);
+
+    // T-DP states of each atom's rows, indexed by atom index then row (the
+    // tuple id itself when the atom ranges over every row). `None` for rows
+    // that were not materialised (child tuples whose join key never occurs
+    // on the parent side). A state's payload is its tuple id.
+    let mut states_of_atom: Vec<Vec<Option<NodeId>>> = vec![Vec::new(); atoms.len()];
+    let weight = |relation: &Relation, tid: usize| OrderedF64::from(weight_fn(relation.tuple(tid)));
+    let relation = db.expect(&atoms[root].relation);
+    let stage = stage_of_atom[root].index();
+    states_of_atom[root] = selection
+        .tuple_ids(root, relation)
+        .enumerate()
+        .map(|(i, tid)| {
+            let s = builder.add_state_with_rows(stage, weight(relation, tid), tid as u64, 1);
+            builder.set_successor(NodeId::ROOT, 0, i as u32, s);
+            Some(s)
+        })
+        .collect();
+
+    // Delta bookkeeping, filled only when `retain_delta` (see DeltaSupport).
+    let mut parent_link: Vec<Option<AtomLink>> = vec![None; atoms.len()];
+    for &atom_idx in &order[1..] {
+        let link = links[atom_idx].take().expect("a non-root atom has a link");
+        let relation = db.expect(&atoms[atom_idx].relation);
+        let index = &link.index;
+
+        // One value node per distinct join-key value occurring on the parent
+        // side, in the order parent rows first reach it, with a row for every
+        // child row of its group; parent rows connect to their key's node.
+        let mut vnode_of_group: Vec<Option<NodeId>> = vec![None; index.num_groups()];
+        let value_stage = link.value_stage.index();
+        for (row, pstate) in states_of_atom[link.parent].iter().enumerate() {
             let &Some(pstate) = pstate else {
                 continue;
             };
-            let g = parent_index.group_of_tuple(row);
+            let g = index.group_of_tuple(row);
             let vnode = *vnode_of_group[g].get_or_insert_with(|| {
-                builder.add_state_with_payload(value_stage.index(), D::one(), u64::MAX)
+                builder.add_state_with_rows(value_stage, D::one(), u64::MAX, link.group_rows[g])
             });
-            builder.connect(pstate, vnode);
+            builder.set_successor(pstate, link.slot, 0, vnode);
         }
+
+        // Matched rows in order: a state for each row under a value node, set
+        // into the next entry of that node's row.
+        let mut fill = link.group_rows;
+        fill.fill(0);
+        let stage = stage_of_atom[atom_idx].index();
+        let tids = selection.rows(atom_idx);
+        let mut states = vec![None; rows(atom_idx)];
+        for (i, g) in link.matched {
+            let (i, g) = (i as usize, g as usize);
+            let Some(vnode) = vnode_of_group[g] else {
+                continue;
+            };
+            let tid = tids.map_or(i, |t| t[i]);
+            let s = builder.add_state_with_rows(stage, weight(relation, tid), tid as u64, 1);
+            builder.set_successor(vnode, 0, fill[g], s);
+            fill[g] += 1;
+            states[i] = Some(s);
+        }
+        states_of_atom[atom_idx] = states;
+
         if retain_delta {
             // Re-key the group-indexed vnodes by join-key value: group ids
             // are an artifact of this index build and would not survive a
             // delta, key values do.
-            let vnode_by_key = vnode_of_group
-                .iter()
-                .enumerate()
-                .filter_map(|(g, v)| v.map(|v| (parent_index.group(g).0.to_vec(), v)))
-                .collect();
+            let count = vnode_of_group.iter().flatten().count();
+            let mut vnodes = KeyMap::with_capacity(link.parent_positions.len(), count);
+            for (g, v) in vnode_of_group.iter().enumerate() {
+                if let Some(v) = v {
+                    vnodes.insert(index.group(g).0, v.0);
+                }
+            }
             parent_link[atom_idx] = Some(AtomLink {
-                parent_atom: parent_idx,
-                parent_positions: parent_positions.clone(),
-                child_positions: child_positions.clone(),
-                value_stage,
-                vnode_by_key,
+                parent_atom: link.parent,
+                parent_positions: link.parent_positions,
+                child_positions: link.child_positions,
+                value_stage: link.value_stage,
+                vnodes,
             });
-            tree_children[parent_idx].push(atom_idx);
         }
-
-        // Child rows connect below the value node of their key (tuples with
-        // keys that never occur on the parent side are dropped here — the
-        // "semi-join" part of the encoding). Probing uses the single-column
-        // fast path when the join key is one variable (the common case for
-        // the paper's path/star/cycle queries): a read of the one key column.
-        let key_column = (child_positions.len() == 1).then(|| relation.column(child_positions[0]));
-        states_of_atom[atom_idx] = tids
-            .map(|tid| {
-                let g = match key_column {
-                    Some(col) => parent_index.group_of1(col[tid]),
-                    None => parent_index.group_of_row_in(relation, tid, &child_positions),
-                };
-                let vnode = g.and_then(|g| vnode_of_group[g])?;
-                let s = builder.add_state_with_payload(
-                    atom_stage.index(),
-                    OrderedF64::from(weight_fn(relation.tuple(tid))),
-                    tid as u64,
-                );
-                builder.connect(vnode, s);
-                Some(s)
-            })
-            .collect();
     }
 
     let instance = builder.build();
@@ -321,10 +410,6 @@ where
     // Each atom's serial position, in atom order: fixed once per plan, so a
     // witness lists atoms ascending, whichever atom roots the tree, at no
     // per-answer cost.
-    let stage_of_atom: Vec<StageId> = stage_of_atom
-        .into_iter()
-        .map(|s| s.expect("every atom was visited"))
-        .collect();
     let serial = instance.serial_order();
     let output_positions = stage_of_atom
         .iter()
@@ -471,7 +556,6 @@ mod tests {
     use anyk_core::dioid::TropicalMin;
     use anyk_core::{ranked_enumerate, AnyKAlgorithm};
     use anyk_query::QueryBuilder;
-    use anyk_storage::Relation;
 
     fn two_path_db() -> Database {
         let mut db = Database::new();

@@ -120,8 +120,9 @@ impl PreparedQuery {
 
     /// Like [`PreparedQuery::prepare`], additionally retaining the
     /// bookkeeping that lets [`PreparedQuery::refresh`] patch the plan under
-    /// a [`DeltaBatch`] instead of recompiling (one extra CSR copy plus
-    /// `O(n)` tuple→state maps). Cycle plans and plans with selections
+    /// a [`DeltaBatch`] instead of recompiling: `O(n)` tuple→state maps and
+    /// kill flags, and a flat key table per join; the plan's successor CSR
+    /// is the same one either way. Cycle plans and plans with selections
     /// (predicates or repeated variables) silently skip the bookkeeping —
     /// check [`PreparedQuery::supports_refresh`].
     pub fn prepare_delta(

@@ -319,8 +319,9 @@ impl Plan {
     /// `ranking`: derive the tree list (the query itself, or its cycle
     /// decomposition), then compile every tree and run its bottom-up phase.
     /// `retain_delta` keeps the delta bookkeeping of
-    /// [`crate::compile::compile_with_opts`] (one extra CSR copy plus `O(n)`
-    /// tuple→state maps) in a tree over every row of the snapshot; a bag
+    /// [`crate::compile::compile_with_opts`] (`O(n)` tuple→state maps and
+    /// kill flags, and a flat key table per link; no second CSR) in a tree
+    /// over every row of the snapshot; a bag
     /// tree or a tree over a selection never keeps it. The plan refreshes in
     /// place only if every tree keeps it, so cycle plans and selected plans
     /// recompile on ingestion.

@@ -169,7 +169,7 @@ fn insert_tuple<D: Dioid<V = OrderedF64>>(
         }
         Some(link) => {
             let key: Vec<Value> = link.child_positions.iter().map(|&c| row.value(c)).collect();
-            let Some(&vnode) = link.vnode_by_key.get(&key) else {
+            let Some(vnode) = link.vnodes.get(&key).map(NodeId) else {
                 // No parent tuple carries this key: the tuple joins with
                 // nothing (yet). If a parent arrives later, its cascade
                 // creates the value node and materialises this tuple.
@@ -203,9 +203,9 @@ fn insert_tuple<D: Dioid<V = OrderedF64>>(
         let existing = support.parent_link[child]
             .as_ref()
             .expect("join-tree child has a parent link")
-            .vnode_by_key
+            .vnodes
             .get(&key)
-            .copied();
+            .map(NodeId);
         let vnode = match existing {
             Some(v) => v,
             None => {
@@ -213,8 +213,8 @@ fn insert_tuple<D: Dioid<V = OrderedF64>>(
                 support.parent_link[child]
                     .as_mut()
                     .expect("join-tree child has a parent link")
-                    .vnode_by_key
-                    .insert(key.clone(), v);
+                    .vnodes
+                    .insert(&key, v.0);
                 // First parent with this key: every matching child tuple
                 // (pre-existing semi-join drops and batch inserts alike)
                 // materialises now, exactly once.

@@ -64,7 +64,7 @@ fn hash1(v: Value) -> u64 {
 
 /// Hash a multi-column key given by an iterator over its values.
 #[inline]
-fn hash_key(values: impl Iterator<Item = Value>) -> u64 {
+pub(crate) fn hash_key(values: impl Iterator<Item = Value>) -> u64 {
     let mut h = !0u64;
     for v in values {
         h = mix(h, v);
@@ -141,7 +141,10 @@ impl HashIndex {
             key_columns: key_columns.to_vec(),
             table: vec![EMPTY; capacity],
             mask: capacity - 1,
-            group_keys: Vec::new(),
+            // Sized for the most groups there can be, and trimmed once the
+            // count is known: an index build allocates the same number of
+            // times whatever its input size.
+            group_keys: Vec::with_capacity(n * k),
             group_offsets: Vec::new(),
             group_tids: Vec::with_capacity(n),
             tuple_groups: Vec::with_capacity(n),
@@ -151,7 +154,7 @@ impl HashIndex {
         // Pass 1: assign a group id to every listed row, discovering
         // distinct keys; count group sizes. The columnar layout lets the key
         // be hashed straight out of the borrowed column slices.
-        let mut group_sizes: Vec<u32> = Vec::new();
+        let mut group_sizes: Vec<u32> = Vec::with_capacity(n);
         if k == 1 {
             // Single-column fast path: one scan of the key column.
             let col = relation.column(key_columns[0]);
@@ -169,6 +172,7 @@ impl HashIndex {
 
         // Pass 2: prefix-sum the sizes and scatter tuple ids; scattering in
         // list order keeps each group in relation insertion order.
+        index.group_keys.shrink_to_fit();
         let num_groups = group_sizes.len();
         index.group_offsets = Vec::with_capacity(num_groups + 1);
         let mut acc = 0u32;

@@ -24,7 +24,7 @@
 //!   ([`Database::apply_delta`]), which bump a monotone generation id;
 //! * [`HashIndex`] — the linear-time-buildable, constant-time-lookup join
 //!   index assumed by the cost model of §2.3, built by sequential column
-//!   scans;
+//!   scans, and [`KeyMap`], a flat map from keys to ids;
 //! * [`stats`] — per-column degree statistics (used by the heavy/light
 //!   partitioning of §5.3.1 and the dataset summaries of Fig. 9).
 
@@ -36,6 +36,7 @@ pub mod delta;
 pub mod dictionary;
 mod index;
 pub mod index_cache;
+mod key_map;
 mod relation;
 pub mod stats;
 mod tuple;
@@ -45,5 +46,6 @@ pub use delta::{DeltaBatch, DeltaError, RelationDelta, TidRemap};
 pub use dictionary::{ColumnType, Dictionary, Field, Schema};
 pub use index::HashIndex;
 pub use index_cache::{IndexCacheStats, DEFAULT_INDEX_CACHE_CAPACITY};
+pub use key_map::KeyMap;
 pub use relation::{Relation, RowRef};
 pub use tuple::{Tuple, TupleId, Value};
