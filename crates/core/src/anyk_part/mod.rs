@@ -24,13 +24,18 @@
 //!
 //! ## Hot-loop layout
 //!
-//! The expansion loop allocates nothing but its output: a successor
-//! structure is found through a small hash map from the instance's [slot
-//! id](TdpInstance::slot_id) to its position in a dense pool (one multiply
-//! and about one probe; see `slot_map`), choices inside a structure are addressed by dense index (see
-//! [`successor`]), the sibling scratch buffer is reused across expansions,
-//! and prefixes are shared through an append-only arena that never stores
-//! the last position (no candidate's prefix reaches it). The popped
+//! The expansion loop allocates nothing but its output. At a [forced
+//! position](TdpInstance::is_forced) — every parent row holds at most one
+//! decision, as every tuple's link into its value node does — it reads the
+//! row's one entry from the instance's CSR: no structure, no index entry,
+//! no sibling scan (a one-choice set has no siblings, so nothing else
+//! changes). Elsewhere a successor structure is found through a small hash
+//! map from the instance's [slot id](TdpInstance::slot_id) to its position
+//! in a dense pool (one multiply and about one probe; see `slot_map`),
+//! choices inside a structure are addressed by dense index (see
+//! `successor`), and the sibling scratch buffer is reused across
+//! expansions. Prefixes are shared through an append-only arena that never
+//! stores the last position (no candidate's prefix reaches it). The popped
 //! candidate's heap slot goes to its first successor. The only per-result
 //! allocation is the output [`Solution`]'s own state vector.
 //!
@@ -38,13 +43,18 @@
 //!
 //! Opening, paging and dropping an enumerator cost what the enumeration
 //! *touched*, not what the instance *contains*: the pool holds only the
-//! choice sets visited so far, the MEM(k) figures are counters bumped when a
-//! structure is built (so [`AnyKPart::memory_stats`] is `O(1)`), and the one
-//! choice set every enumerator touches — the root's, e.g. all of `R1` — is
-//! ordered once per instance and borrowed, never copied, by every kind
-//! (`successor::RootCache`); `Lazy` ranks the shared heap through a private
-//! frontier of `O(drained)` positions. The index holds at most about two
-//! entries per structure built, so it too is `O(touched)`.
+//! choice sets visited so far at positions that are not forced (a forced
+//! position holds no structure), the MEM(k) figures are counters bumped
+//! when a structure is built (so [`AnyKPart::memory_stats`] is `O(1)`), and
+//! the one choice set every enumerator touches — the root's, e.g. all of
+//! `R1` — is ordered once per instance and borrowed, never copied, by every
+//! kind (`successor::RootCache`); `Lazy` ranks the shared heap through a
+//! private frontier of `O(drained)` positions. The index holds at most about
+//! two entries per structure built, so it too is `O(touched)`. On a join
+//! plan the forced positions are the links from a tuple into its value
+//! node: after 1 000 answers on anykbench's path-4 plan, 1 598 of the
+//! 2 915 choice sets a session touched are forced, and it holds 1 317
+//! structures.
 //!
 //! At depth the kinds differ in what the candidate queue holds. `Take2`
 //! leaves every prefix's heap frontier there: a pop pushes up to two heap
@@ -96,13 +106,16 @@ pub struct MemoryStats {
     /// a dense `u32` table, and the map allocates `8/7` as many buckets as
     /// entries, with one control byte each.
     pub structure_table_slots: usize,
-    /// Successor structures materialised so far (lazy initialisation touches
-    /// only the choice sets the enumeration actually visited).
+    /// Successor structures materialised so far: one per choice set the
+    /// enumeration visited (lazy initialisation), except at a forced serial
+    /// position ([`TdpInstance::is_forced`]), where the one choice is read
+    /// from the instance and no structure is built.
     pub structures_allocated: usize,
-    /// Total choices held across all materialised successor structures. A
-    /// root structure borrowed from the instance's shared cache counts like
-    /// one the enumerator built: MEM(k) is a logical figure, the same for the
-    /// first cursor on a plan and the thousandth.
+    /// Total choices held across all materialised successor structures; the
+    /// choice followed at a forced position is in none. A root structure
+    /// borrowed from the instance's shared cache counts like one the
+    /// enumerator built: MEM(k) is a logical figure, the same for the first
+    /// cursor on a plan and the thousandth.
     pub structure_choices: usize,
 }
 
@@ -210,7 +223,8 @@ pub struct AnyKPart<'a, D: Dioid> {
     inst: &'a TdpInstance<D>,
     kind: SuccessorKind,
     /// Slot id → position of its structure in `pool`, for the choice sets
-    /// touched so far; an absent slot id is a structure not built yet.
+    /// touched so far at positions that are not forced; an absent slot id is
+    /// a structure not built yet.
     /// Structures are built on first access (§7: lazy initialisation keeps
     /// TT(k) small for small k), and the map grows with them.
     slot_index: SlotMap,
@@ -358,6 +372,23 @@ impl<'a, D: Dioid> AnyKPart<'a, D> {
         self.pool.len() - 1
     }
 
+    /// The best choice of `tail`, the parent state of serial position `pos`,
+    /// at that position, and its index in the choice set's structure. At a
+    /// forced position the row holds one decision, which a live `tail`'s
+    /// choice set must contain: it is read from the CSR, and no structure is
+    /// built (a one-choice structure's top has index 0 for every kind).
+    #[inline]
+    fn top_choice(&mut self, pos: usize, tail: NodeId) -> (NodeId, u32) {
+        let slot = self.slot_of(pos);
+        if self.inst.is_forced(pos) {
+            return (self.inst.successors(tail, slot)[0], 0);
+        }
+        let p = self.structure(tail, slot);
+        let st = &self.pool[p];
+        let idx = st.top();
+        (st.choice(idx).0, idx)
+    }
+
     /// Parent state of serial position `pos`, given the solution states
     /// chosen so far (`states[0..pos]` filled).
     fn parent_state(&self, states: &[NodeId], pos: usize) -> NodeId {
@@ -399,11 +430,7 @@ impl<'a, D: Dioid> AnyKPart<'a, D> {
             }
             return;
         }
-        let slot = self.slot_of(0);
-        let p = self.structure(NodeId::ROOT, slot);
-        let st = &self.pool[p];
-        let top_idx = st.top();
-        let top = st.choice(top_idx).0;
+        let (top, top_idx) = self.top_choice(0, NodeId::ROOT);
         let total = self.inst.optimum().clone();
         self.cand.push(Reverse(Candidate {
             total,
@@ -449,26 +476,28 @@ impl<'a, D: Dioid> AnyKPart<'a, D> {
 
         for pos in r..ell {
             // 1. Generate the new candidates of the subspaces created by
-            //    deviating away from `current` at this position.
-            let tail = self.parent_state(&states, pos);
-            let slot = self.slot_of(pos);
-            succ_buf.clear();
-            let p = self.structure(tail, slot);
-            self.pool[p].successors(current_idx, &mut succ_buf);
-            if !succ_buf.is_empty() {
-                let pending = self.pending_completion(&states, pos);
-                let st = &self.pool[p];
-                for &sibling_idx in &succ_buf {
-                    let (s, value) = st.choice(sibling_idx);
-                    let total = D::times(&D::times(&prefix_weight, value), &pending);
-                    let sibling = Candidate {
-                        total,
-                        prefix: prefix_idx,
-                        r: pos as u32,
-                        last: *s,
-                        last_idx: sibling_idx,
-                    };
-                    enqueue(&mut self.cand, sibling, &mut top_free);
+            //    deviating away from `current` at this position. A forced
+            //    position offers no other choice.
+            if !self.inst.is_forced(pos) {
+                let tail = self.parent_state(&states, pos);
+                succ_buf.clear();
+                let p = self.structure(tail, self.slot_of(pos));
+                self.pool[p].successors(current_idx, &mut succ_buf);
+                if !succ_buf.is_empty() {
+                    let pending = self.pending_completion(&states, pos);
+                    let st = &self.pool[p];
+                    for &sibling_idx in &succ_buf {
+                        let (s, value) = st.choice(sibling_idx);
+                        let total = D::times(&D::times(&prefix_weight, value), &pending);
+                        let sibling = Candidate {
+                            total,
+                            prefix: prefix_idx,
+                            r: pos as u32,
+                            last: *s,
+                            last_idx: sibling_idx,
+                        };
+                        enqueue(&mut self.cand, sibling, &mut top_free);
+                    }
                 }
             }
 
@@ -494,11 +523,7 @@ impl<'a, D: Dioid> AnyKPart<'a, D> {
 
             // 3. Follow the optimal choice into the next position.
             let tail_next = self.parent_state(&states, pos + 1);
-            let slot_next = self.slot_of(pos + 1);
-            let p = self.structure(tail_next, slot_next);
-            let st = &self.pool[p];
-            current_idx = st.top();
-            current = st.choice(current_idx).0;
+            (current, current_idx) = self.top_choice(pos + 1, tail_next);
         }
 
         if top_free {

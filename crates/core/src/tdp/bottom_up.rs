@@ -17,22 +17,25 @@
 //! [`crate::tdp::TdpBuilder::build`] runs it over every state, and
 //! [`crate::tdp::apply_patch`] over the dirty cone of a patch, which is why a
 //! patched instance is bit-identical to a rebuilt one.
+//!
+//! The sweep reads one [`DpEntry`] per successor, `w(t)` and `π₁(t)` side
+//! by side, and while it walks every row it also records which serial
+//! positions are forced (every row into them holds at most one decision).
 
-use super::{Node, NodeId, TdpInstance};
+use super::{DpEntry, NodeId, TdpInstance};
 use crate::dioid::Dioid;
 
 /// Evaluate one state over the successor CSR `offsets`/`data`: write the
 /// `num_slots` values `branch[first_slot..]` (`⊕` over each successor row,
 /// skipping targets with `π₁ = 0̄`) and return their `⊗` in slot order, the
-/// state's new `π₁`. Every `subtree` entry a row points at must be final.
+/// state's new `π₁`. Every `dp` entry a row points at must be final.
 ///
 /// `⊕` is selective, so the order of a row does not change the result; the
 /// `⊗` fold order is fixed by the stage tree.
 pub(super) fn eval_state<D: Dioid>(
-    nodes: &[Node<D::V>],
+    dp: &[DpEntry<D::V>],
     offsets: &[u32],
     data: &[NodeId],
-    subtree: &[D::V],
     branch: &mut [D::V],
     first_slot: usize,
     num_slots: usize,
@@ -42,11 +45,11 @@ pub(super) fn eval_state<D: Dioid>(
     for d in first_slot..first_slot + num_slots {
         let mut best = D::zero();
         for &t in &data[offsets[d] as usize..offsets[d + 1] as usize] {
-            let sub = &subtree[t.index()];
-            if *sub == zero {
+            let e = &dp[t.index()];
+            if e.opt == zero {
                 continue;
             }
-            best = D::plus(&best, &D::times(&nodes[t.index()].weight, sub));
+            best = D::plus(&best, &D::times(&e.weight, &e.opt));
         }
         total = D::times(&total, &best);
         branch[d] = best;
@@ -54,28 +57,36 @@ pub(super) fn eval_state<D: Dioid>(
     total
 }
 
-/// Run the bottom-up phase over the instance's successor CSR,
-/// filling `subtree_opt` and `branch_opt` (the latter keyed by dense slot id).
+/// Run the bottom-up phase over the instance's successor CSR: fill every
+/// state's `π₁` and `branch_opt` (keyed by dense slot id), and record the
+/// forced serial positions.
 pub(crate) fn run<D: Dioid>(instance: &mut TdpInstance<D>) {
     crate::faults::checkpoint("core.bottom_up");
     let _span = anyk_obs::phase::span(anyk_obs::Phase::BottomUp);
-    let mut subtree_opt = vec![D::zero(); instance.nodes.len()];
+    let mut dp = std::mem::take(&mut instance.dp);
     let mut branch_opt: Vec<D::V> = vec![D::zero(); instance.num_slot_ids()];
+    // Per child stage: some row into it holds more than one decision.
+    let mut multi = vec![false; instance.stages.len()];
+    let (offsets, data) = (&instance.succ_offsets, &instance.succ_data);
     for sid in instance.stages_children_first() {
         let stage = &instance.stages[sid.index()];
         for &nid in &stage.nodes {
-            subtree_opt[nid.index()] = eval_state::<D>(
-                &instance.nodes,
-                &instance.succ_offsets,
-                &instance.succ_data,
-                &subtree_opt,
+            let first = instance.slot_offsets[nid.index()] as usize;
+            dp[nid.index()].opt = eval_state::<D>(
+                &dp,
+                offsets,
+                data,
                 &mut branch_opt,
-                instance.slot_offsets[nid.index()] as usize,
+                first,
                 stage.children.len(),
             );
+            for (d, child) in (first..).zip(&stage.children) {
+                multi[child.index()] |= offsets[d + 1] - offsets[d] > 1;
+            }
         }
     }
-    instance.subtree_opt = subtree_opt;
+    instance.set_forced(&multi);
+    instance.dp = dp;
     instance.branch_opt = branch_opt;
 }
 

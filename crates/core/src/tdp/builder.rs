@@ -1,6 +1,6 @@
 //! Construction of [`TdpInstance`]s.
 
-use super::{bottom_up, Node, NodeId, Stage, StageId, TdpInstance};
+use super::{bottom_up, DpEntry, Node, NodeId, Stage, StageId, TdpInstance};
 use crate::anyk_part::successor::RootCache;
 use crate::dioid::Dioid;
 
@@ -24,7 +24,9 @@ use crate::dioid::Dioid;
 #[derive(Debug, Clone)]
 pub struct TdpBuilder<D: Dioid> {
     stages: Vec<Stage>,
-    nodes: Vec<Node<D::V>>,
+    nodes: Vec<Node>,
+    /// Per state: its weight, and `π₁` left at `0̄` for the bottom-up phase.
+    dp: Vec<DpEntry<D::V>>,
     /// Slot-id base per state; `num_nodes + 1` entries once the first state
     /// is added (see [`TdpInstance`]), just `[0]` before.
     slot_offsets: Vec<u32>,
@@ -63,12 +65,15 @@ impl<D: Dioid> TdpBuilder<D> {
         };
         let root_node = Node {
             stage: StageId::ROOT,
-            weight: D::one(),
             payload: u64::MAX,
         };
         TdpBuilder {
             stages: vec![root_stage],
             nodes: vec![root_node],
+            dp: vec![DpEntry {
+                weight: D::one(),
+                opt: D::zero(),
+            }],
             slot_offsets: vec![0],
             succ_offsets: vec![0],
             succ_data: Vec::new(),
@@ -152,6 +157,7 @@ impl<D: Dioid> TdpBuilder<D> {
             (1, self.stages[StageId::ROOT.index()].children.len())
         };
         self.nodes.reserve_exact(states);
+        self.dp.reserve_exact(states);
         self.slot_offsets.reserve_exact(states + root_base);
         self.succ_offsets.reserve_exact(slots + root_slots);
         self.succ_data.reserve_exact(successors);
@@ -198,8 +204,11 @@ impl<D: Dioid> TdpBuilder<D> {
         self.push_slots(slots, row_len);
         self.nodes.push(Node {
             stage: StageId(stage as u32),
-            weight,
             payload,
+        });
+        self.dp.push(DpEntry {
+            weight,
+            opt: D::zero(),
         });
         self.stages[stage].nodes.push(id);
         id
@@ -355,8 +364,9 @@ impl<D: Dioid> TdpBuilder<D> {
 
     /// Freeze the instance: lay out the connected decisions, compute the
     /// serial stage order and run the DP bottom-up phase (pruning + `π₁`,
-    /// one serial pass of `bottom_up::eval_state` per state). Pruned states
-    /// stay in the successor rows; [`TdpInstance::choices`] skips them.
+    /// one serial pass of `bottom_up::eval_state` per state, which also
+    /// records the forced serial positions). Pruned states stay in the
+    /// successor rows; [`TdpInstance::choices`] skips them.
     /// [`crate::tdp::apply_patch`] evaluates states with the same function.
     pub fn build(mut self) -> TdpInstance<D> {
         self.freeze();
@@ -370,6 +380,7 @@ impl<D: Dioid> TdpBuilder<D> {
         let TdpBuilder {
             stages,
             nodes,
+            dp,
             slot_offsets,
             succ_offsets,
             succ_data,
@@ -384,13 +395,14 @@ impl<D: Dioid> TdpBuilder<D> {
         let mut instance = TdpInstance {
             stages,
             nodes,
+            dp,
             slot_offsets,
             succ_offsets,
             succ_data,
-            subtree_opt: Vec::new(),
             branch_opt: Vec::new(),
             serial_order,
             parent_pos,
+            forced: Vec::new(),
             pending,
             killed,
             root_cache: RootCache::new(root_slots),

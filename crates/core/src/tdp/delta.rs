@@ -16,7 +16,10 @@
 //! Instances built with
 //! [`TdpBuilder::retain_topology`](super::TdpBuilder::retain_topology) add
 //! one "killed" flag per state; [`apply_patch`] rewrites the CSR with the
-//! edits applied and sweeps it.
+//! edits applied and sweeps it. The rewrite walks every row, so it also
+//! resets the forced serial positions: an edit that gives a row into a
+//! forced position a second decision clears that position's flag, and one
+//! that leaves every such row with at most one sets it.
 //!
 //! ## The sweep
 //!
@@ -35,7 +38,7 @@
 //! excluded from re-evaluation; their rows and in-edges are dropped from the
 //! CSR so no later patch can resurrect them.
 
-use super::{bottom_up, Node, NodeId, StageId, TdpInstance};
+use super::{bottom_up, DpEntry, Node, NodeId, StageId, TdpInstance};
 use crate::dioid::Dioid;
 
 /// A batch of structural edits to a built [`TdpInstance`], applied by
@@ -179,8 +182,11 @@ pub fn apply_patch<D: Dioid>(
         let id = NodeId((old_num_nodes + i) as u32);
         instance.nodes.push(Node {
             stage: *stage,
-            weight: weight.clone(),
             payload: *payload,
+        });
+        instance.dp.push(DpEntry {
+            weight: weight.clone(),
+            opt: D::zero(),
         });
         instance.stages[stage.index()].nodes.push(id);
         let slots = instance.stages[stage.index()].children.len();
@@ -190,7 +196,6 @@ pub fn apply_patch<D: Dioid>(
             "patched instance exceeds u32 slot-id space"
         );
         instance.slot_offsets.push((prev + slots) as u32);
-        instance.subtree_opt.push(D::zero());
         instance
             .branch_opt
             .extend(std::iter::repeat_with(D::zero).take(slots));
@@ -202,17 +207,18 @@ pub fn apply_patch<D: Dioid>(
     // 3. Kill states: permanently pruned, excluded from the sweep.
     for &n in &patch.kill_nodes {
         killed[n.index()] = true;
-        instance.subtree_opt[n.index()] = D::zero();
+        instance.dp[n.index()].opt = D::zero();
     }
 
     // 4. Rebuild the CSR with the edge edits applied, seeding the dirty
     //    set with every live state whose successor row changed (plus all new
-    //    states). Surviving edges keep their order; additions append in
-    //    queue order — successor-list order does not affect DP values (see
-    //    module docs). Slot ids are visited in ascending order below, so the
-    //    edits are sorted once and merged with cursors instead of per-slot
-    //    hash lookups (the lookup would otherwise dominate: every slot of
-    //    every state pays it, patch or no patch).
+    //    states), and record which child stages some row holds more than
+    //    one decision into (the forced positions). Surviving edges keep
+    //    their order; additions append in queue order — successor-list order
+    //    does not affect DP values (see module docs). Slot ids are visited in
+    //    ascending order below, so the edits are sorted once and merged with
+    //    cursors instead of per-slot hash lookups (the lookup would otherwise
+    //    dominate: every slot of every state pays it, patch or no patch).
     let mut adds: Vec<(u32, NodeId)> = Vec::with_capacity(patch.add_edges.len());
     for &(parent, slot, child) in &patch.add_edges {
         assert!(
@@ -241,6 +247,7 @@ pub fn apply_patch<D: Dioid>(
     let mut offsets: Vec<u32> = Vec::with_capacity(num_slots + 1);
     offsets.push(0);
     let mut data: Vec<NodeId> = Vec::with_capacity(old_data.len() + patch.add_edges.len());
+    let mut multi = vec![false; instance.stages.len()];
     let mut add_cursor = 0usize;
     let mut rem_cursor = 0usize;
     for (n, dirty_n) in dirty.iter_mut().enumerate() {
@@ -248,6 +255,7 @@ pub fn apply_patch<D: Dioid>(
         let first = instance.slot_offsets[n] as usize;
         let last = instance.slot_offsets[n + 1] as usize;
         for d in first..last {
+            let row_start = data.len();
             let mut changed = false;
             while rem_cursor < removes.len() && (removes[rem_cursor].0 as usize) < d {
                 rem_cursor += 1;
@@ -282,6 +290,10 @@ pub fn apply_patch<D: Dioid>(
             }
             if changed && !owner_dead {
                 *dirty_n = true;
+            }
+            if data.len() - row_start > 1 {
+                let stage = instance.nodes[n].stage;
+                multi[instance.stages[stage.index()].children[d - first].index()] = true;
             }
             offsets.push(data.len() as u32);
         }
@@ -330,16 +342,15 @@ pub fn apply_patch<D: Dioid>(
             }
             nodes_reevaluated += 1;
             let total = bottom_up::eval_state::<D>(
-                &instance.nodes,
+                &instance.dp,
                 &offsets,
                 &data,
-                &instance.subtree_opt,
                 &mut instance.branch_opt,
                 first,
                 num_stage_slots,
             );
-            if instance.subtree_opt[n] != total {
-                instance.subtree_opt[n] = total;
+            if instance.dp[n].opt != total {
+                instance.dp[n].opt = total;
                 changed[n] = true;
                 stage_changed[sid.index()] = true;
             }
@@ -348,6 +359,7 @@ pub fn apply_patch<D: Dioid>(
 
     instance.succ_offsets = offsets;
     instance.succ_data = data;
+    instance.set_forced(&multi);
     instance.killed = Some(killed);
     Ok(PatchStats {
         nodes_reevaluated,

@@ -31,10 +31,15 @@
 //!   `slot_id(n, s) = slot_offsets[n] + s` and `slot_offsets` has
 //!   `num_nodes + 1` entries. Slot ids index both the successor CSR and
 //!   `branch_opt`, and give downstream consumers (e.g. the `anyk_part`
-//!   successor-structure table) a perfect, hash-free key.
+//!   successor-structure index) a perfect, hash-free key.
 //! * All successor lists live contiguously in one `succ_data: Vec<NodeId>`;
 //!   the list of slot id `d` is `succ_data[succ_offsets[d]..succ_offsets[d+1]]`.
-//! * `branch_opt: Vec<V>` is keyed by slot id; `subtree_opt: Vec<V>` by node.
+//! * `dp: Vec<DpEntry<V>>` is keyed by node: a state's weight `w(s)` and its
+//!   `π₁(s)` side by side, 16 bytes for an `f64` weight. Reading a choice's
+//!   value `w(t) ⊗ π₁(t)` — in [`TdpInstance::choices`], the bottom-up sweep
+//!   and [`apply_patch`] — is one load per successor. [`Node`] keeps only a
+//!   state's stage and payload, so a state costs 32 bytes in all.
+//! * `branch_opt: Vec<V>` is keyed by slot id.
 //!
 //! An instance holds **one** successor CSR. Pruned states stay in it, and
 //! [`TdpInstance::choices`] skips them: enumeration reads a choice set once,
@@ -42,6 +47,18 @@
 //! comparison per choice there and nothing per answer. Keeping them means
 //! no build-time copy of the edges without them, and it is what lets
 //! [`apply_patch`] revive a pruned state in place.
+//!
+//! ## Forced serial positions
+//!
+//! A serial position is **forced** ([`TdpInstance::is_forced`]) when every
+//! row of its parent stage into it holds at most one decision, pruned
+//! states included. The equi-join encoding (Fig. 3) makes every link from a
+//! tuple stage into its value-node stage forced: a tuple has one decision
+//! per child link, into its key's value node. A live state's row at a forced
+//! position holds exactly one choice, so an enumerator follows it by reading
+//! that row's one entry and builds no successor structure for it. The flags
+//! are set while the bottom-up sweep and [`apply_patch`]'s CSR rewrite walk
+//! every row anyway.
 
 mod bottom_up;
 mod builder;
@@ -104,16 +121,25 @@ pub struct Stage {
     pub nodes: Vec<NodeId>,
 }
 
-/// A state of the T-DP problem.
+/// A state of the T-DP problem. Its weight lives in the instance's DP
+/// entries ([`TdpInstance::weight`]).
 #[derive(Debug, Clone)]
-pub struct Node<V> {
+pub struct Node {
     /// The stage this state belongs to.
     pub stage: StageId,
-    /// The weight of every decision *into* this state (Fig. 3 encoding).
-    pub weight: V,
     /// Opaque user payload, typically an input-tuple identifier; carried
     /// through to [`crate::Solution`] witnesses.
     pub payload: u64,
+}
+
+/// The bottom-up DP entry of one state: the weight of every decision *into*
+/// it (Fig. 3 encoding) and `π₁`, the weight of its optimal subtree
+/// completion (excluding its own weight; `0̄` for pruned states). One entry
+/// is what a choice's value `w ⊗ π₁` reads.
+#[derive(Debug, Clone)]
+pub(crate) struct DpEntry<V> {
+    pub(crate) weight: V,
+    pub(crate) opt: V,
 }
 
 /// An immutable T-DP instance, ready for ranked enumeration.
@@ -123,7 +149,9 @@ pub struct Node<V> {
 #[derive(Debug, Clone)]
 pub struct TdpInstance<D: Dioid> {
     pub(crate) stages: Vec<Stage>,
-    pub(crate) nodes: Vec<Node<D::V>>,
+    pub(crate) nodes: Vec<Node>,
+    /// `(w(s), π₁(s))` per state, keyed by node (see [`DpEntry`]).
+    pub(crate) dp: Vec<DpEntry<D::V>>,
     /// Dense slot-id base per node: node `n`'s slots occupy ids
     /// `slot_offsets[n]..slot_offsets[n + 1]` (one per child stage of its
     /// stage). Length `num_nodes + 1`.
@@ -133,9 +161,6 @@ pub struct TdpInstance<D: Dioid> {
     pub(crate) succ_offsets: Vec<u32>,
     /// All successor lists, contiguous, pruned states included.
     pub(crate) succ_data: Vec<NodeId>,
-    /// `π₁(s)`: weight of the optimal subtree completion rooted at `s`
-    /// (excluding `s`'s own weight). `0̄` for pruned states. Keyed by node.
-    pub(crate) subtree_opt: Vec<D::V>,
     /// `branch_opt[slot_id]`: optimal completion restricted to one branch,
     /// i.e. `min over successors t of (w(t) ⊗ π₁(t))`. Keyed by slot id.
     pub(crate) branch_opt: Vec<D::V>,
@@ -147,6 +172,10 @@ pub struct TdpInstance<D: Dioid> {
     /// serial position of the parent stage, or `None` if the parent is the
     /// root stage.
     pub(crate) parent_pos: Vec<Option<usize>>,
+    /// For each serial position: whether it is forced, i.e. every row of
+    /// the parent stage into it holds at most one decision (see the module
+    /// docs).
+    pub(crate) forced: Vec<bool>,
     /// For each serial position `j`: the "pending branches" used to complete
     /// a prefix of positions `< j` optimally — pairs `(prefix position,
     /// slot)` of branches that hang off the prefix but are not covered by the
@@ -205,14 +234,14 @@ impl<D: Dioid> TdpInstance<D> {
     }
 
     /// State metadata.
-    pub fn node(&self, id: NodeId) -> &Node<D::V> {
+    pub fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id.index()]
     }
 
     /// The weight of (every decision into) state `id`.
     #[inline]
     pub fn weight(&self, id: NodeId) -> &D::V {
-        &self.nodes[id.index()].weight
+        &self.dp[id.index()].weight
     }
 
     /// The payload of state `id`.
@@ -225,7 +254,7 @@ impl<D: Dioid> TdpInstance<D> {
     /// bottom-up phase, i.e. cannot be part of any solution.
     #[inline]
     pub fn subtree_opt(&self, id: NodeId) -> &D::V {
-        &self.subtree_opt[id.index()]
+        &self.dp[id.index()].opt
     }
 
     /// The optimal completion of the branch `slot` of state `id`.
@@ -254,6 +283,14 @@ impl<D: Dioid> TdpInstance<D> {
         self.parent_pos[pos]
     }
 
+    /// Whether serial position `pos` is forced: every row of its parent
+    /// stage into it holds at most one decision, so a live parent state has
+    /// exactly one choice there (see the module docs).
+    #[inline]
+    pub fn is_forced(&self, pos: usize) -> bool {
+        self.forced[pos]
+    }
+
     /// The weight of the overall optimal solution, or `0̄` if the instance has
     /// no solution.
     pub fn optimum(&self) -> &D::V {
@@ -269,7 +306,8 @@ impl<D: Dioid> TdpInstance<D> {
     /// weight of the branch through `t`). `0̄` if `t` is pruned.
     #[inline]
     pub fn choice_value(&self, target: NodeId) -> D::V {
-        D::times(self.weight(target), self.subtree_opt(target))
+        let e = &self.dp[target.index()];
+        D::times(&e.weight, &e.opt)
     }
 
     /// Iterate over the `(successor, choice value)` pairs of the choice set
@@ -278,8 +316,8 @@ impl<D: Dioid> TdpInstance<D> {
     pub fn choices(&self, id: NodeId, slot: u32) -> impl Iterator<Item = (NodeId, D::V)> + '_ {
         let zero = D::zero();
         self.successors(id, slot).iter().filter_map(move |&t| {
-            let sub = self.subtree_opt(t);
-            (*sub != zero).then(|| (t, D::times(self.weight(t), sub)))
+            let e = &self.dp[t.index()];
+            (e.opt != zero).then(|| (t, D::times(&e.weight, &e.opt)))
         })
     }
 
@@ -318,6 +356,16 @@ impl<D: Dioid> TdpInstance<D> {
             .rev()
             .copied()
             .chain(std::iter::once(StageId::ROOT))
+    }
+
+    /// Record the forced serial positions from `multi`, which flags, per
+    /// stage, that some row into it holds more than one decision.
+    pub(crate) fn set_forced(&mut self, multi: &[bool]) {
+        self.forced = self
+            .serial_order
+            .iter()
+            .map(|s| !multi[s.index()])
+            .collect();
     }
 
     /// The "pending branches" of serial position `pos` (see the module docs
@@ -429,6 +477,14 @@ mod tests {
         let inst = b.build();
         assert!(!inst.has_solution());
         assert_eq!(inst.count_solutions(), 0);
+    }
+
+    /// A state's `Node` and its DP entry are 16 bytes each under an `f64`
+    /// dioid: moving the weight beside `π₁` added no byte per state.
+    #[test]
+    fn a_state_takes_32_bytes() {
+        assert_eq!(std::mem::size_of::<Node>(), 16);
+        assert_eq!(std::mem::size_of::<DpEntry<OrderedF64>>(), 16);
     }
 
     #[test]

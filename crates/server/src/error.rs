@@ -60,8 +60,8 @@ pub enum ServiceError {
     /// isolated and its state discarded. Other sessions are unaffected.
     SessionPoisoned(SessionId),
     /// A delta batch could not be applied to the current snapshot (unknown
-    /// relation, arity mismatch, delete id out of range). Validation runs
-    /// before any work, so the served snapshot is untouched.
+    /// relation, arity mismatch, non-finite weight, delete id out of range).
+    /// Validation runs before any work, so the served snapshot is untouched.
     Delta(anyk_storage::DeltaError),
     /// A chaos-testing failpoint fired on the serving path (see
     /// [`crate::faults`]); never produced unless a fault plan is armed.

@@ -805,8 +805,8 @@ impl QueryService {
     /// it is bit-identical to one compiled fresh over the new data.
     ///
     /// A rejected batch ([`ServiceError::Delta`]: unknown relation, arity
-    /// mismatch, delete out of range) changes nothing — validation runs
-    /// before any snapshot work.
+    /// mismatch, non-finite weight, delete out of range) changes nothing —
+    /// validation runs before any snapshot work.
     pub fn ingest(&self, batch: &DeltaBatch) -> Result<u64, ServiceError> {
         catch_panic("delta ingestion", || {
             let _rotating = lock!(self.rotation.lock());
@@ -1462,7 +1462,7 @@ mod tests {
     use crate::error::OverloadReason;
     use anyk_obs::ManualClock;
     use anyk_query::QueryBuilder;
-    use anyk_storage::Relation;
+    use anyk_storage::{DeltaError, Relation, Tuple};
     use std::time::Duration;
 
     fn path_db() -> Database {
@@ -2152,6 +2152,27 @@ mod tests {
         assert_eq!(service.current_generation(), 0, "generation unchanged");
         assert_eq!(m.deltas_ingested, 0);
         assert_eq!(m.active_generations, 1);
+    }
+
+    /// A tuple weight of `±∞` or NaN is refused before any snapshot work, as
+    /// a typed delta error rather than a contained panic.
+    #[test]
+    fn a_non_finite_weight_is_a_rejected_delta() {
+        let service = QueryService::new(path_db());
+        for weight in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let bad = DeltaBatch::new().insert("R2", Tuple::new(vec![10, 7], weight));
+            let err = service.ingest(&bad).unwrap_err();
+            assert!(
+                matches!(
+                    &err,
+                    ServiceError::Delta(DeltaError::NonFiniteWeight { relation, insert: 0 })
+                        if relation == "R2"
+                ),
+                "{weight}: {err}"
+            );
+        }
+        assert_eq!(service.current_generation(), 0, "generation unchanged");
+        assert_eq!(service.metrics().deltas_ingested, 0);
     }
 
     #[test]

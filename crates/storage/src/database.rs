@@ -195,12 +195,18 @@ impl Database {
             let rel = self
                 .get(&delta.relation)
                 .ok_or_else(|| DeltaError::UnknownRelation(delta.relation.clone()))?;
-            for tuple in &delta.inserts {
+            for (insert, tuple) in delta.inserts.iter().enumerate() {
                 if tuple.values().len() != rel.arity() {
                     return Err(DeltaError::ArityMismatch {
                         relation: delta.relation.clone(),
                         expected: rel.arity(),
                         got: tuple.values().len(),
+                    });
+                }
+                if !tuple.weight().is_finite() {
+                    return Err(DeltaError::NonFiniteWeight {
+                        relation: delta.relation.clone(),
+                        insert,
                     });
                 }
             }
@@ -619,6 +625,28 @@ mod tests {
             db.apply_delta(&oob),
             Err(DeltaError::DeleteOutOfRange { tid: 5, len: 1, .. })
         ));
+    }
+
+    #[test]
+    fn apply_delta_refuses_a_non_finite_weight() {
+        let mut db = Database::new();
+        let mut r = Relation::new("R", 2);
+        r.push(Tuple::new(vec![1, 10], 1.0));
+        db.add(r);
+        for weight in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let batch = crate::delta::DeltaBatch::new()
+                .insert("R", Tuple::new(vec![2, 20], 2.0))
+                .insert("R", Tuple::new(vec![3, 30], weight));
+            assert_eq!(
+                db.apply_delta(&batch).err(),
+                Some(DeltaError::NonFiniteWeight {
+                    relation: "R".into(),
+                    insert: 1,
+                }),
+                "{weight}"
+            );
+        }
+        assert_eq!(db.expect("R").len(), 1);
     }
 
     #[test]

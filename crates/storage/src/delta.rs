@@ -136,6 +136,15 @@ pub enum DeltaError {
         /// The inserted tuple's arity.
         got: usize,
     },
+    /// An inserted tuple's weight is `±∞` or NaN. Weights must be finite:
+    /// an infinite weight is a ranking's `0̄` or past it, so where it sat in
+    /// the join tree would decide whether its answers exist.
+    NonFiniteWeight {
+        /// The relation whose delta carried the bad tuple.
+        relation: String,
+        /// The tuple's position among that delta's inserts.
+        insert: usize,
+    },
     /// A delete id is past the end of its relation.
     DeleteOutOfRange {
         /// The relation whose delta carried the bad id.
@@ -160,6 +169,10 @@ impl std::fmt::Display for DeltaError {
             } => write!(
                 f,
                 "delta insert into `{relation}` has arity {got}, relation has {expected}"
+            ),
+            DeltaError::NonFiniteWeight { relation, insert } => write!(
+                f,
+                "delta insert {insert} into `{relation}` has a non-finite weight"
             ),
             DeltaError::DeleteOutOfRange { relation, tid, len } => write!(
                 f,

@@ -241,7 +241,10 @@ impl Relation {
     /// relation); use [`Relation::push_fields`] to encode strings on push.
     ///
     /// # Panics
-    /// Panics if `values.len()` does not match the relation's arity.
+    /// Panics if `values.len()` does not match the relation's arity, or if
+    /// `weight` is `±∞` or NaN: weights must be finite, since an infinite
+    /// weight is a ranking's `0̄` (or past it) and would make an answer's
+    /// existence depend on where its tuple sits in the join tree.
     pub fn push_row(&mut self, values: &[Value], weight: f64) -> TupleId {
         assert_eq!(
             values.len(),
@@ -251,6 +254,7 @@ impl Relation {
             self.name,
             self.arity
         );
+        self.assert_finite(weight);
         for (col, &v) in self.columns.iter_mut().zip(values) {
             col.push(v);
         }
@@ -258,10 +262,20 @@ impl Relation {
         self.weights.len() - 1
     }
 
+    /// Panic unless `weight` is finite (see [`Relation::push_row`]).
+    fn assert_finite(&self, weight: f64) {
+        assert!(
+            weight.is_finite(),
+            "tuple weight {weight} of relation {} is not finite",
+            self.name
+        );
+    }
+
     /// Append a tuple.
     ///
     /// # Panics
-    /// Panics if the tuple's arity does not match the relation's.
+    /// Panics if the tuple's arity does not match the relation's, or if its
+    /// weight is not finite.
     pub fn push(&mut self, tuple: Tuple) -> TupleId {
         self.push_row(tuple.values(), tuple.weight())
     }
@@ -269,7 +283,7 @@ impl Relation {
     /// Convenience: append a binary edge tuple `(from, to)` with a weight.
     ///
     /// # Panics
-    /// Panics unless the relation is binary.
+    /// Panics unless the relation is binary, or if `weight` is not finite.
     pub fn push_edge(&mut self, from: Value, to: Value, weight: f64) -> TupleId {
         assert_eq!(self.arity, 2, "push_edge requires a binary relation");
         self.push_row(&[from, to], weight)
@@ -286,8 +300,9 @@ impl Relation {
     /// * [`Field::Str`] in an id column — parsed as `u64` (the loader path).
     ///
     /// # Panics
-    /// Panics on an arity mismatch, or if a string field in an id column is
-    /// not a valid `u64`.
+    /// Panics on an arity mismatch, on a weight that is not finite (see
+    /// [`Relation::push_row`]), or if a string field in an id column is not
+    /// a valid `u64`.
     pub fn push_fields(&mut self, fields: &[Field<'_>], weight: f64) -> TupleId {
         assert_eq!(
             fields.len(),
@@ -297,6 +312,8 @@ impl Relation {
             self.name,
             self.arity
         );
+        // Before any string is interned in a dictionary.
+        self.assert_finite(weight);
         // Resolve every field before touching any column, so a parse panic
         // cannot leave the columns ragged (all columns must stay the same
         // length even if the caller recovers from the panic).
@@ -419,6 +436,25 @@ impl Relation {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn push_row_refuses_a_non_finite_weight() {
+        let mut r = Relation::new("R", 2);
+        r.push_row(&[1, 2], 0.5);
+        for weight in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let pushed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                r.push_row(&[3, 4], weight);
+            }));
+            let msg = pushed.expect_err("a non-finite weight panics");
+            assert!(
+                msg.downcast_ref::<String>()
+                    .is_some_and(|m| m.contains("is not finite")),
+                "{weight}"
+            );
+        }
+        assert_eq!(r.len(), 1);
+        assert_eq!(r.column(0), &[1]);
+    }
 
     #[test]
     fn push_and_lookup() {
